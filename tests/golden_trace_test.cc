@@ -189,6 +189,51 @@ const TraceGolden kTraceGolden[] = {
     {"tree_walk.ltct", 16380, 7203, 9177, 17, 0},
 };
 
+/**
+ * GHB PC/DC expectations (exact): the trace engine with the GHB
+ * baseline over each fixture. GHB prefetches install into L2 only, so
+ * the L1/L2 miss counts, the useless count and the predictor's own
+ * counters pin its chain walk, delta-pair match and replay
+ * bit-for-bit.
+ */
+struct GhbGolden
+{
+    const char *file;
+    std::uint64_t l1Misses;
+    std::uint64_t l2Misses;
+    std::uint64_t useless;      //!< prefetched blocks never touched
+    std::uint64_t deltaMatches; //!< Ghb stat "delta_matches"
+    std::uint64_t issued;       //!< Ghb stat "prefetches_issued"
+};
+
+const GhbGolden kGhbGolden[] = {
+    {"strided_scan.ltct", 32768, 5, 0, 32750, 131000},
+    {"pointer_chase.ltct", 32768, 4096, 0, 0, 0},
+    {"interleave.ltct", 23406, 2053, 0, 17535, 70140},
+    {"tree_walk.ltct", 16380, 4095, 0, 0, 0},
+};
+
+/**
+ * Long-run LT-cords expectation (exact) on a generated workload, far
+ * past the fixtures' lengths: at 1M references swim leaves ~190K
+ * early-eviction marks live in the L1D, so this row pins the "early"
+ * class (Fig. 8) where the mark store holds hundreds of marks per set.
+ */
+struct LongRunGolden
+{
+    const char *workload;
+    std::uint64_t refs;
+    std::uint64_t l1Misses;
+    std::uint64_t correct;
+    std::uint64_t early;
+    std::uint64_t useless;
+};
+
+const LongRunGolden kLongRunGolden[] = {
+    {"swim", 1'000'000, 306005, 193995, 0, 0},
+    {"em3d", 1'000'000, 191700, 673687, 10032, 0},
+};
+
 const TimingGolden kTimingGolden[] = {
     {"strided_scan.ltct", 123799, 262144, 24002, 8766, 4096, 0, 0,
      270828, 262144, 0, 123384, 348160},
@@ -417,6 +462,68 @@ TEST(GoldenTraceEngine, MetricsMatchExactly)
             continue;
         }
         EXPECT_EQ(s.opportunity, g.opportunity);
+        EXPECT_EQ(s.l1Misses, g.l1Misses);
+        EXPECT_EQ(s.correct, g.correct);
+        EXPECT_EQ(s.early, g.early);
+        EXPECT_EQ(s.uselessPrefetches, g.useless);
+    }
+}
+
+TEST(GoldenTraceEngine, GhbMetricsMatchExactly)
+{
+    for (const GhbGolden &g : kGhbGolden) {
+        SCOPED_TRACE(g.file);
+        FileTrace trace(dataPath(g.file));
+        auto pred = makePredictor("ghb", paperHierarchy());
+        TraceEngine engine(paperHierarchy(), pred.get());
+        engine.run(trace, trace.size());
+        const CoverageStats &s = engine.stats();
+        StatSet ghb("ghb");
+        pred->exportStats(ghb);
+        const auto matches =
+            static_cast<std::uint64_t>(ghb.get("delta_matches"));
+        const auto issued =
+            static_cast<std::uint64_t>(ghb.get("prefetches_issued"));
+        if (printMode()) {
+            std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu},\n",
+                        g.file,
+                        static_cast<unsigned long long>(s.l1Misses),
+                        static_cast<unsigned long long>(s.l2Misses),
+                        static_cast<unsigned long long>(
+                            s.uselessPrefetches),
+                        static_cast<unsigned long long>(matches),
+                        static_cast<unsigned long long>(issued));
+            continue;
+        }
+        EXPECT_EQ(s.l1Misses, g.l1Misses);
+        EXPECT_EQ(s.l2Misses, g.l2Misses);
+        EXPECT_EQ(s.uselessPrefetches, g.useless);
+        EXPECT_EQ(matches, g.deltaMatches);
+        EXPECT_EQ(issued, g.issued);
+    }
+}
+
+TEST(GoldenTraceEngine, LongRunLtCordsMatchesExactly)
+{
+    for (const LongRunGolden &g : kLongRunGolden) {
+        SCOPED_TRACE(g.workload);
+        auto src = makeWorkload(g.workload);
+        auto pred = makePredictor("lt-cords", paperHierarchy());
+        TraceEngine engine(paperHierarchy(), pred.get());
+        engine.run(*src, g.refs);
+        const CoverageStats &s = engine.stats();
+        if (printMode()) {
+            std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu},\n",
+                        g.workload,
+                        static_cast<unsigned long long>(g.refs),
+                        static_cast<unsigned long long>(s.l1Misses),
+                        static_cast<unsigned long long>(s.correct),
+                        static_cast<unsigned long long>(s.early),
+                        static_cast<unsigned long long>(
+                            s.uselessPrefetches));
+            continue;
+        }
+        EXPECT_EQ(s.accesses, g.refs);
         EXPECT_EQ(s.l1Misses, g.l1Misses);
         EXPECT_EQ(s.correct, g.correct);
         EXPECT_EQ(s.early, g.early);
