@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/bitops.hh"
 #include "util/check.hh"
@@ -16,7 +17,6 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     setMask_ = config_.numSets() - 1;
     tagFlags_.resize(config_.numLines());
     stamps_.resize(config_.numLines());
-    evictMarks_.resize(config_.numSets());
     // Weakly-reused initial prediction, per the SHiP paper; the other
     // policies never touch the table, so it stays unallocated.
     if (config_.policy == ReplPolicy::SHiP)
@@ -108,26 +108,14 @@ Cache::takeMeta(Addr addr)
 void
 Cache::markEvicted(Addr addr)
 {
-    const Addr block = blockAlign(addr);
-    std::vector<Addr> &bucket = evictMarks_[setIndex(block)];
-    for (Addr marked : bucket) {
-        if (marked == block)
-            return;
-    }
-    bucket.push_back(block);
-}
-
-bool
-Cache::clearEvictedMarkSlow(std::vector<Addr> &bucket, Addr block)
-{
-    for (std::size_t i = 0; i < bucket.size(); i++) {
-        if (bucket[i] == block) {
-            bucket[i] = bucket.back();
-            bucket.pop_back();
-            return true;
-        }
-    }
-    return false;
+    const std::uint64_t block = addr >> lineBits_;
+    const Addr region = block >> markRegionBits;
+    const std::uint64_t bit = std::uint64_t{1}
+        << (block & (markRegionBlocks - 1));
+    if (std::uint64_t *word = evictMarks_.find(region))
+        *word |= bit;
+    else
+        evictMarks_.insert(region, bit);
 }
 
 void
@@ -140,9 +128,6 @@ Cache::auditInvariants() const
     LTC_CHECK(stamps_.size() == lines,
               "stamp array holds ", stamps_.size(), " words for ",
               lines, " lines");
-    LTC_CHECK(evictMarks_.size() == config_.numSets(),
-              "eviction-mark buckets: ", evictMarks_.size(),
-              " for ", config_.numSets(), " sets");
     LTC_CHECK(misses_ <= accesses_,
               misses_, " misses out of ", accesses_, " accesses");
     LTC_CHECK(evictions_ <= misses_ + prefetchFills_,
@@ -228,23 +213,19 @@ Cache::auditInvariants() const
         }
     }
 
-    for (std::uint32_t set = 0; set < config_.numSets(); set++) {
-        const std::vector<Addr> &bucket = evictMarks_[set];
-        for (std::size_t i = 0; i < bucket.size(); i++) {
-            const Addr block = bucket[i];
-            LTC_CHECK(blockAlign(block) == block,
-                      "unaligned eviction mark ", block);
-            LTC_CHECK(setIndex(block) == set, "eviction mark ", block,
-                      " filed under set ", set, ", maps to ",
-                      setIndex(block));
+    evictMarks_.auditInvariants();
+    evictMarks_.forEach([&](Addr region, std::uint64_t word) {
+        LTC_CHECK(word != 0, "eviction-mark region ", region,
+                  " kept with no marks");
+        for (std::uint64_t rest = word; rest; rest &= rest - 1) {
+            const Addr block =
+                ((region << markRegionBits) |
+                 static_cast<Addr>(std::countr_zero(rest)))
+                << lineBits_;
             LTC_CHECK(findIndex(block) == noWay, "eviction-marked "
                       "block ", block, " is resident");
-            for (std::size_t j = i + 1; j < bucket.size(); j++) {
-                LTC_CHECK(bucket[j] != block,
-                          "duplicate eviction mark ", block);
-            }
         }
-    }
+    });
 }
 
 bool

@@ -20,6 +20,7 @@
 #include "cache/cache_config.hh"
 #include "cache/repl_policy.hh"
 #include "cache/set_scan.hh"
+#include "util/flat_map.hh"
 #include "util/random.hh"
 #include "util/types.hh"
 
@@ -266,10 +267,12 @@ class Cache
      * Record an engine-owned mark for @p addr, a block that was just
      * evicted from this cache (the trace engine's "early eviction"
      * candidates). Marked blocks are by definition NOT resident, so
-     * the mark cannot ride on a line; it lives in a per-set side list
-     * instead, which is empty in predictor-less runs and a handful of
-     * entries otherwise — checking it costs one indexed load, not a
-     * hash probe. Inserting an already-marked block is a no-op.
+     * the mark cannot ride on a line; it is a bit in a side map of
+     * region bitmaps (evictMarks_). Predictor runs accumulate marks
+     * for every live block a prefetch displaced and the program has
+     * not re-missed yet — hundreds of thousands on the long-running
+     * generated workloads — so the store is a hash map, not a scan.
+     * Inserting an already-marked block is a no-op.
      */
     void markEvicted(Addr addr);
 
@@ -277,17 +280,26 @@ class Cache
      * Remove the eviction mark for @p addr if present; returns
      * whether it was. Engines call this whenever the block becomes
      * resident again (demand miss or prefetch fill). Inline: this
-     * sits on the engines' per-miss path, and the common no-marks
-     * case is a single indexed load.
+     * sits on the engines' per-miss path. Predictor-less runs never
+     * mark, so their check is one size load; otherwise it is one
+     * probe of the region map.
      */
     bool
     clearEvictedMark(Addr addr)
     {
-        const Addr block = blockAlign(addr);
-        std::vector<Addr> &bucket = evictMarks_[setIndex(block)];
-        if (bucket.empty())
+        if (evictMarks_.empty())
             return false;
-        return clearEvictedMarkSlow(bucket, block);
+        const std::uint64_t block = addr >> lineBits_;
+        const Addr region = block >> markRegionBits;
+        std::uint64_t *word = evictMarks_.find(region);
+        const std::uint64_t bit = std::uint64_t{1}
+            << (block & (markRegionBlocks - 1));
+        if (!word || !(*word & bit))
+            return false;
+        *word &= ~bit;
+        if (*word == 0)
+            evictMarks_.erase(region);
+        return true;
     }
 
     void setListener(CacheListener *listener) { listener_ = listener; }
@@ -297,9 +309,10 @@ class Cache
      * invariant of the packed-tag SoA layout: invalid lines are
      * all-zero, valid tag words map back to their own set, no block
      * is resident twice in a set, replacement stamps never run ahead
-     * of the global stamp counter, eviction-mark buckets hold only
-     * aligned, non-resident, non-duplicate blocks of their own set,
-     * and the counters are mutually consistent. Cold path: called at
+     * of the global stamp counter, the eviction-mark map is a sound
+     * open-addressed table whose region words are non-zero and mark
+     * only non-resident blocks, and the counters are mutually
+     * consistent. Cold path: called at
      * engine batch boundaries when auditing is enabled (see
      * util/check.hh) and directly by the property/death-test suites.
      * Panics on the first violation.
@@ -390,19 +403,26 @@ class Cache
     CacheOutcome insert(std::uint64_t tag, std::uint32_t set,
                         std::uint32_t way, bool by_prefetch,
                         bool mark_prefetched, bool dirty);
-    bool clearEvictedMarkSlow(std::vector<Addr> &bucket, Addr block);
 
     CacheConfig config_;
     unsigned lineBits_;
     std::uint64_t setMask_;
     std::vector<std::uint64_t> tagFlags_; //!< sets x ways, row-major
     std::vector<std::uint64_t> stamps_;   //!< parallel to tagFlags_
+    /** Blocks per eviction-mark region: one bit each in a word. */
+    static constexpr unsigned markRegionBits = 6;
+    static constexpr std::uint64_t markRegionBlocks =
+        std::uint64_t{1} << markRegionBits;
     /**
-     * Per-set eviction marks (markEvicted()). Kept sorted by nothing
-     * — membership only; buckets stay allocated across clears so the
-     * steady state is allocation-free.
+     * Eviction marks (markEvicted()), keyed by region (block number
+     * >> markRegionBits, a 4 KiB page at 64-byte lines); bit b of a
+     * region's word marks the region's b-th block. A region is erased
+     * when its last mark clears, so every stored word is non-zero.
+     * Marks cluster: the long-running generated workloads fill 62-64
+     * of a region's 64 bits, so ~300K marks fit in ~5K entries
+     * (~128 KB, host-cache resident).
      */
-    std::vector<std::vector<Addr>> evictMarks_;
+    AddrMap<std::uint64_t> evictMarks_;
     std::uint64_t stamp_ = 0;
     Rng rng_{12345};
     /** Table state for the policies that need it (DRRIP, SHiP). */

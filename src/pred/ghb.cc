@@ -10,6 +10,8 @@ namespace ltc
 Ghb::Ghb(const GhbConfig &config) : config_(config)
 {
     ltc_assert(config_.ghbEntries > 1, "GHB needs >= 2 entries");
+    ltc_assert(isPowerOf2(config_.ghbEntries),
+               "GHB ring size must be a power of two");
     ltc_assert(isPowerOf2(config_.indexEntries),
                "GHB index size must be a power of two");
     ghb_.resize(config_.ghbEntries);
@@ -25,43 +27,24 @@ Ghb::serialLive(std::uint64_t serial) const
         serial < nextSerial_;
 }
 
-void
+const Ghb::GhbEntry &
 Ghb::insertMiss(Addr pc, Addr block_addr)
 {
     const std::uint64_t serial = nextSerial_++;
-    GhbEntry &entry = ghb_[serial % config_.ghbEntries];
+    GhbEntry &entry = ghb_[serial & (config_.ghbEntries - 1)];
 
     IndexEntry &idx =
         index_[mix64(pc) & (config_.indexEntries - 1)];
 
     entry.missAddr = block_addr;
-    entry.hasPrev = idx.valid && idx.pcTag == pc &&
+    const bool chained = idx.valid && idx.pcTag == pc &&
         serialLive(idx.headSerial);
-    entry.prevSerial = entry.hasPrev ? idx.headSerial : 0;
+    entry.prevSerial = chained ? idx.headSerial : 0;
 
     idx.valid = true;
     idx.pcTag = pc;
     idx.headSerial = serial;
-}
-
-std::vector<Addr>
-Ghb::chainFor(Addr pc) const
-{
-    std::vector<Addr> history; // newest first
-    const IndexEntry &idx =
-        index_[mix64(pc) & (config_.indexEntries - 1)];
-    if (!idx.valid || idx.pcTag != pc)
-        return history;
-
-    std::uint64_t serial = idx.headSerial;
-    while (serialLive(serial) && history.size() < config_.maxChain) {
-        const GhbEntry &entry = ghb_[serial % config_.ghbEntries];
-        history.push_back(entry.missAddr);
-        if (!entry.hasPrev)
-            break;
-        serial = entry.prevSerial;
-    }
-    return history;
+    return entry;
 }
 
 void
@@ -73,32 +56,32 @@ Ghb::observe(const MemRef &ref, const HierOutcome &out)
 
     const Addr block =
         ref.addr & ~static_cast<Addr>(config_.lineBytes - 1);
-    insertMiss(ref.pc, block);
+    const GhbEntry *entry = &insertMiss(ref.pc, block);
 
-    // history[0] is the current miss; deltas[i] = history[i] -
-    // history[i+1] (newest delta first).
-    const std::vector<Addr> history = chainFor(ref.pc);
-    if (history.size() < 4)
-        return; // need two deltas to correlate plus context
-
-    std::vector<std::int64_t> deltas;
-    deltas.reserve(history.size() - 1);
-    for (std::size_t i = 0; i + 1 < history.size(); i++) {
-        deltas.push_back(static_cast<std::int64_t>(history[i]) -
-                         static_cast<std::int64_t>(history[i + 1]));
-    }
-
-    // Search the older delta stream for the most recent delta pair.
-    const std::int64_t d1 = deltas[0];
-    const std::int64_t d2 = deltas[1];
-    std::size_t match = deltas.size();
-    for (std::size_t i = 2; i + 1 < deltas.size(); i++) {
-        if (deltas[i] == d1 && deltas[i + 1] == d2) {
-            match = i;
+    // Walk the PC's miss chain newest first: history[0] is the current
+    // miss, and deltas[i] = history[i] - history[i+1] is computed on
+    // reaching history[i+1]. The most recent delta pair (deltas[0],
+    // deltas[1]) is searched for in the older delta stream: each pair
+    // (deltas[i], deltas[i+1]), i >= 2, is tested as soon as it
+    // exists, so the walk stops at the smallest matching i — the
+    // match a full walk followed by a search would pick.
+    std::int64_t deltas[maxChain];
+    Addr newer = block;
+    std::uint32_t walked = 1; // history entries reached
+    std::uint32_t match = 0;
+    while (walked < maxChain && serialLive(entry->prevSerial)) {
+        entry = &ghb_[entry->prevSerial & (config_.ghbEntries - 1)];
+        deltas[walked - 1] = static_cast<std::int64_t>(newer) -
+            static_cast<std::int64_t>(entry->missAddr);
+        newer = entry->missAddr;
+        walked++;
+        if (walked >= 5 && deltas[walked - 3] == deltas[0] &&
+            deltas[walked - 2] == deltas[1]) {
+            match = walked - 3;
             break;
         }
     }
-    if (match == deltas.size())
+    if (match == 0)
         return;
     matches_++;
 
@@ -110,7 +93,7 @@ Ghb::observe(const MemRef &ref, const HierOutcome &out)
     // prefetch depth, as PC/DC implementations do.
     Addr target = block;
     std::uint32_t issued = 0;
-    std::size_t i = match;
+    std::uint32_t i = match;
     while (issued < config_.depth) {
         if (i == 0)
             i = match;
@@ -131,14 +114,6 @@ Ghb::exportStats(StatSet &set) const
     set.set("misses_observed", static_cast<double>(misses_));
     set.set("delta_matches", static_cast<double>(matches_));
     set.set("prefetches_issued", static_cast<double>(issued_));
-}
-
-void
-Ghb::clear()
-{
-    ghb_.assign(config_.ghbEntries, GhbEntry{});
-    index_.assign(config_.indexEntries, IndexEntry{});
-    nextSerial_ = 1;
 }
 
 } // namespace ltc

@@ -30,33 +30,36 @@ namespace ltc
 /** GHB PC/DC configuration. */
 struct GhbConfig
 {
+    /** Index-table entries; a power of two. */
     std::uint32_t indexEntries = 256;
+    /** GHB ring entries; a power of two, at least 2. */
     std::uint32_t ghbEntries = 256;
     /** Prefetch depth after a delta-pair match. */
     std::uint32_t depth = 4;
-    /** Maximum chain length walked when building the history. */
-    std::uint32_t maxChain = 64;
     std::uint32_t lineBytes = 64;
 };
 
 class Ghb : public Prefetcher
 {
   public:
+    /** Maximum chain length walked per miss (bounds the delta array). */
+    static constexpr std::uint32_t maxChain = 64;
+
     explicit Ghb(const GhbConfig &config);
 
     void observe(const MemRef &ref, const HierOutcome &out) override;
     std::string name() const override { return "ghb-pc/dc"; }
     void exportStats(StatSet &set) const override;
 
-    void clear();
-
   private:
     struct GhbEntry
     {
         Addr missAddr = 0;
-        /** Serial number of the previous miss by the same PC. */
+        /**
+         * Serial number of the previous miss by the same PC; 0 (never
+         * a serial) when the chain ends here.
+         */
         std::uint64_t prevSerial = 0;
-        bool hasPrev = false;
     };
 
     struct IndexEntry
@@ -67,8 +70,8 @@ class Ghb : public Prefetcher
     };
 
     bool serialLive(std::uint64_t serial) const;
-    void insertMiss(Addr pc, Addr block_addr);
-    std::vector<Addr> chainFor(Addr pc) const;
+    /** Append a miss to the ring and head its PC's chain with it. */
+    const GhbEntry &insertMiss(Addr pc, Addr block_addr);
 
     GhbConfig config_;
     std::vector<GhbEntry> ghb_;

@@ -299,10 +299,11 @@ class TraceEngine : public CacheListener
     std::uint32_t current_ = 0;
 
     /**
-     * Classification state that used to live here in hash tables
-     * (earlyMarked_, fetchedOffChip_) now rides on the cache lines
-     * themselves as LineMeta* bits plus per-set eviction marks — see
-     * cache/cache.hh. The engine only keeps reusable buffers.
+     * Classification state lives in the caches, not here: the
+     * fetched/off-chip entries ride on the lines as LineMeta* bits,
+     * and early-eviction marks sit in the L1D's region-bitmap mark
+     * map (Cache::markEvicted) — see cache/cache.hh. The engine only
+     * keeps reusable buffers.
      */
     /** Pull buffer shared by run() and the runSchedule kernels. */
     std::vector<MemRef> batch_;

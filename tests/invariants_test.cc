@@ -8,9 +8,10 @@
  * expecting the audit to panic, and — just as important — that
  * legitimately exercised state passes every audit cleanly. The
  * corruption classes cover the silent-failure modes the packed
- * representations are exposed to: a clobbered tag word, a dropped
- * MSHR presence bit, reversed ring order, a rewound bus horizon and
- * a broken sequence-storage frame link.
+ * representations are exposed to: a clobbered tag word, an empty or
+ * resident eviction-mark entry, a dropped MSHR presence bit, reversed
+ * ring order, a rewound bus horizon and a broken sequence-storage
+ * frame link.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -33,6 +35,7 @@
 #include "sim/timing_engine.hh"
 #include "sim/trace_engine.hh"
 #include "trace/primitives.hh"
+#include "trace/workloads.hh"
 #include "util/check.hh"
 
 namespace ltc
@@ -87,6 +90,30 @@ struct TestPeer
             }
         }
         FAIL() << "no valid line to stamp";
+    }
+
+    /** Leave an eviction-mark region in the map with no marks. */
+    static void
+    zeroMarkWord(Cache &c)
+    {
+        c.evictMarks_.insert(0x7777, 0);
+    }
+
+    /** Make a marked block resident without clearing its mark. */
+    static void
+    residentMarkedBlock(Cache &c)
+    {
+        const Addr block = 0x40000;
+        ASSERT_FALSE(c.probe(block));
+        c.markEvicted(block);
+        c.fill(block);
+    }
+
+    /** Regions the eviction-mark map holds. */
+    static std::size_t
+    markRegions(const Cache &c)
+    {
+        return c.evictMarks_.size();
     }
 
     // -------------------------------------------------- MshrFile
@@ -345,6 +372,39 @@ TEST(InvariantAudit, TimingEngineAuditPassesAfterRun)
     sim.auditInvariants();
 }
 
+TEST(InvariantAudit, EvictionMarkRegionsStayBounded)
+{
+    // The mark store holds one word per 4 KiB region with a live mark,
+    // so it can never outgrow the regions the stream touched. On swim
+    // LT-cords spreads marks over the whole footprint by ~1.5M
+    // references; from then on the region count must stay flat, not
+    // creep with run length.
+    auto src = makeWorkload("swim");
+    auto footprint = makeWorkload("swim"); // the identical stream
+    auto pred = makePredictor("lt-cords", paperHierarchy());
+    TraceEngine engine(paperHierarchy(), pred.get());
+    const Cache &l1 = engine.hierarchy().l1d();
+
+    std::unordered_set<Addr> touched;
+    std::vector<MemRef> batch(500'000);
+    std::vector<std::size_t> regions; // after each 0.5M references
+    for (int step = 1; step <= 6; step++) {
+        engine.run(*src, batch.size());
+        ASSERT_EQ(footprint->fill(batch), batch.size());
+        for (const MemRef &ref : batch)
+            touched.insert(ref.addr >> 12);
+        regions.push_back(TestPeer::markRegions(l1));
+        EXPECT_LE(regions.back(), touched.size()) << "step " << step;
+    }
+    // Flat over 2M-3M references: within 1% of each other.
+    const auto [lo, hi] =
+        std::minmax_element(regions.begin() + 3, regions.end());
+    EXPECT_GT(*lo, 0u);
+    EXPECT_LE(*hi - *lo, *hi / 100)
+        << "mark regions grew from " << *lo << " to " << *hi;
+    l1.auditInvariants();
+}
+
 TEST(InvariantAudit, CheckMacroPassesOnTrueCondition)
 {
     LTC_CHECK(1 + 1 == 2, "arithmetic holds");
@@ -389,6 +449,22 @@ TEST_F(CacheAuditDeathTest, RunawayStampIsCaught)
     Cache c(tinyCacheConfig());
     exerciseCache(c);
     TestPeer::runawayStamp(c);
+    EXPECT_DEATH(c.auditInvariants(), "invariant");
+}
+
+TEST_F(CacheAuditDeathTest, EmptyMarkRegionIsCaught)
+{
+    Cache c(tinyCacheConfig());
+    exerciseCache(c);
+    TestPeer::zeroMarkWord(c);
+    EXPECT_DEATH(c.auditInvariants(), "invariant");
+}
+
+TEST_F(CacheAuditDeathTest, ResidentMarkedBlockIsCaught)
+{
+    Cache c(tinyCacheConfig());
+    exerciseCache(c);
+    TestPeer::residentMarkedBlock(c);
     EXPECT_DEATH(c.auditInvariants(), "invariant");
 }
 

@@ -297,22 +297,12 @@ TEST(GhbTest, StatsExported)
     EXPECT_GT(s.get("prefetches_issued"), 0.0);
 }
 
-TEST(GhbTest, ClearForgets)
+TEST(GhbDeathTest, RingSizeMustBePowerOfTwo)
 {
-    Ghb ghb(GhbConfig{});
-    std::vector<Addr> misses;
-    for (int i = 0; i < 10; i++)
-        misses.push_back(0x100000 + static_cast<Addr>(i) * 64);
-    feedMisses(ghb, misses, 0x400);
-    ghb.clear();
-    // A single new miss must not find chain context.
-    MemRef ref;
-    ref.pc = 0x400;
-    ref.addr = misses.back() + 64;
-    HierOutcome out;
-    out.level = HitLevel::Memory;
-    ghb.observe(ref, out);
-    EXPECT_FALSE(ghb.hasRequests());
+    // The ring is indexed by serial & (ghbEntries - 1).
+    GhbConfig c;
+    c.ghbEntries = 96;
+    EXPECT_DEATH(Ghb{c}, "power of two");
 }
 
 //

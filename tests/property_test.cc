@@ -11,7 +11,10 @@
  *  - prefetching never changes the demand reference stream's
  *    functional footprint (same blocks touched),
  *  - every predictor obeys the drain/feedback protocol under fuzzed
- *    streams.
+ *    streams,
+ *  - the hand-optimised side structures (MSHR file, buses, GHB walk,
+ *    eviction-mark store) match deliberately naive reference models
+ *    step for step.
  */
 
 #include <gtest/gtest.h>
@@ -22,13 +25,16 @@
 #include <set>
 #include <vector>
 
+#include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "core/ltcords.hh"
 #include "mem/bus.hh"
+#include "pred/ghb.hh"
 #include "sim/experiment.hh"
 #include "sim/timing_engine.hh"
 #include "sim/trace_engine.hh"
 #include "trace/primitives.hh"
+#include "util/hash.hh"
 #include "util/random.hh"
 
 namespace ltc
@@ -486,6 +492,313 @@ TEST_P(BusProperty, PrecomputedOccupancyPathIsIdentical)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BusProperty,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+//
+// GHB PC/DC: randomized miss streams against the two-phase algorithm.
+//
+// Ghb::observe walks the PC's chain once, computing deltas as it goes
+// and stopping at the first delta-pair match. The reference below is
+// the obvious formulation: collect the whole chain (up to maxChain
+// entries) into a vector, turn it into a delta vector, then search it.
+// Both must issue the same requests and count the same statistics.
+//
+
+/** The obvious GHB PC/DC: materialise the chain, then search it. */
+class NaiveGhb
+{
+  public:
+    explicit NaiveGhb(const GhbConfig &config)
+        : config_(config), ring_(config.ghbEntries),
+          index_(config.indexEntries)
+    {
+    }
+
+    /** Observe one L1 miss; returns the prefetch targets issued. */
+    std::vector<Addr>
+    miss(Addr pc, Addr addr)
+    {
+        misses++;
+        const Addr block = addr & ~static_cast<Addr>(config_.lineBytes - 1);
+        const std::uint64_t serial = nextSerial_++;
+        Head &head = index_[mix64(pc) & (config_.indexEntries - 1)];
+        Entry &entry = ring_[serial % config_.ghbEntries];
+        entry.missAddr = block;
+        entry.hasPrev = head.valid && head.pc == pc && live(head.serial);
+        entry.prevSerial = head.serial;
+        head = Head{true, pc, serial};
+
+        std::vector<Addr> history; // newest first
+        std::uint64_t s = serial;
+        while (live(s) && history.size() < Ghb::maxChain) {
+            const Entry &e = ring_[s % config_.ghbEntries];
+            history.push_back(e.missAddr);
+            if (!e.hasPrev)
+                break;
+            s = e.prevSerial;
+        }
+        longestChain = std::max(longestChain, history.size());
+        std::vector<std::int64_t> deltas;
+        for (std::size_t i = 0; i + 1 < history.size(); i++) {
+            deltas.push_back(static_cast<std::int64_t>(history[i]) -
+                             static_cast<std::int64_t>(history[i + 1]));
+        }
+        std::size_t match = 0;
+        for (std::size_t i = 2; i + 1 < deltas.size(); i++) {
+            if (deltas[i] == deltas[0] && deltas[i + 1] == deltas[1]) {
+                match = i;
+                break;
+            }
+        }
+        std::vector<Addr> targets;
+        if (match == 0)
+            return targets;
+        matches++;
+        Addr target = block;
+        for (std::uint32_t n = 0; n < config_.depth; n++) {
+            const std::size_t k = match - 1 - n % match;
+            target += static_cast<Addr>(deltas[k]);
+            targets.push_back(target);
+        }
+        issued += targets.size();
+        return targets;
+    }
+
+    std::uint64_t misses = 0;
+    std::uint64_t matches = 0;
+    std::uint64_t issued = 0;
+    std::size_t longestChain = 0;
+
+  private:
+    struct Entry
+    {
+        Addr missAddr = 0;
+        std::uint64_t prevSerial = 0;
+        bool hasPrev = false;
+    };
+    struct Head
+    {
+        bool valid = false;
+        Addr pc = 0;
+        std::uint64_t serial = 0;
+    };
+
+    bool
+    live(std::uint64_t serial) const
+    {
+        return serial != 0 && serial < nextSerial_ &&
+            nextSerial_ - serial <= config_.ghbEntries;
+    }
+
+    GhbConfig config_;
+    std::vector<Entry> ring_;
+    std::vector<Head> index_;
+    std::uint64_t nextSerial_ = 1;
+};
+
+class GhbProperty : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(GhbProperty, RandomMissStreamMatchesNaiveModelExactly)
+{
+    Rng rng(GetParam() * 104729 + 11);
+    GhbConfig cfg;
+    if (GetParam() % 2 == 0) {
+        // Off-default geometries: tiny rings wrap every few misses,
+        // a 1-entry index makes every PC alias.
+        cfg.ghbEntries = 1u << rng.range(1, 10);
+        cfg.indexEntries = 1u << rng.range(0, 8);
+        cfg.depth = static_cast<std::uint32_t>(rng.range(1, 8));
+        cfg.lineBytes = 32u << rng.below(3);
+    }
+    Ghb ghb(cfg);
+    NaiveGhb naive(cfg);
+
+    // A few PCs, one pair of which collides in the index table.
+    std::vector<Addr> pcs;
+    const std::uint64_t imask = cfg.indexEntries - 1;
+    const Addr alias = 0x400 + rng.below(1 << 16) * 4;
+    Addr twin = alias + 4;
+    while ((mix64(twin) & imask) != (mix64(alias) & imask))
+        twin += 4;
+    pcs.push_back(alias);
+    pcs.push_back(twin);
+    const std::uint64_t extra = rng.range(0, 3);
+    for (std::uint64_t i = 0; i < extra; i++)
+        pcs.push_back(0x800000 + rng.below(1 << 20) * 4);
+
+    // Per-PC address generator: constant strides, short repeating
+    // delta cycles, repeats of the same block, and random jumps.
+    struct Stream
+    {
+        Addr next;
+        std::vector<std::int64_t> cycle;
+        std::size_t pos = 0;
+    };
+    std::vector<Stream> streams;
+    for (std::size_t p = 0; p < pcs.size(); p++) {
+        Stream st;
+        st.next = 0x10000000 + static_cast<Addr>(p) * 0x1000000;
+        const std::uint64_t len = rng.range(1, 5);
+        for (std::uint64_t i = 0; i < len; i++) {
+            st.cycle.push_back(
+                (static_cast<std::int64_t>(rng.below(9)) - 4) * 64);
+        }
+        streams.push_back(st);
+    }
+
+    // Phases of 200 misses: in solo phases only the first PC misses,
+    // so its chain outgrows maxChain; mixed phases interleave every
+    // PC, and the index twin keeps cutting the first PC's chain.
+    bool solo = false;
+    for (int op = 0; op < 4000; op++) {
+        if (op % 200 == 0)
+            solo = rng.chance(0.4);
+        const std::size_t p = solo ? 0 : rng.below(pcs.size());
+        Stream &st = streams[p];
+        if (rng.chance(0.05))
+            st.next += rng.below(1 << 16) * 64; // random delta
+        else if (!rng.chance(0.05)) {           // else: repeat
+            st.next += static_cast<Addr>(st.cycle[st.pos]);
+            st.pos = (st.pos + 1) % st.cycle.size();
+        }
+
+        MemRef ref;
+        ref.pc = pcs[p];
+        ref.addr = st.next + rng.below(cfg.lineBytes);
+        HierOutcome out;
+        const bool hit = rng.chance(0.1);
+        out.level = hit ? HitLevel::L1 : HitLevel::Memory;
+        ghb.observe(ref, out);
+
+        const std::vector<PrefetchRequest> got = ghb.drainRequests();
+        const std::vector<Addr> want =
+            hit ? std::vector<Addr>{} : naive.miss(ref.pc, ref.addr);
+        ASSERT_EQ(got.size(), want.size()) << "op " << op;
+        for (std::size_t i = 0; i < got.size(); i++) {
+            ASSERT_EQ(got[i].target, want[i]) << "op " << op;
+            ASSERT_FALSE(got[i].intoL1);
+            ASSERT_EQ(got[i].predictedVictim, invalidAddr);
+        }
+    }
+
+    StatSet stats("ghb");
+    ghb.exportStats(stats);
+    EXPECT_EQ(stats.get("misses_observed"),
+              static_cast<double>(naive.misses));
+    EXPECT_EQ(stats.get("delta_matches"),
+              static_cast<double>(naive.matches));
+    EXPECT_EQ(stats.get("prefetches_issued"),
+              static_cast<double>(naive.issued));
+    if (GetParam() % 2 == 1) {
+        // The default geometry: the stream must reach the regimes
+        // the test is for (ring wrap is implied by 4000 misses).
+        EXPECT_GT(naive.matches, 0u);
+        EXPECT_EQ(naive.longestChain, Ghb::maxChain);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GhbProperty,
+                         ::testing::Range<std::uint64_t>(1, 13));
+
+//
+// Eviction marks: randomized cache schedules against a std::set.
+//
+// Cache keeps early-eviction marks as region bitmaps in a hash map;
+// observably it is a set of block addresses. The schedule follows the
+// engines' protocol (mark only non-resident blocks, clear on every
+// miss or prefetch fill) over a tiny cache, so evictions and re-marks
+// are constant, and draws addresses from blocks at the edges of
+// regions in several 4 GiB-shifted tenant spaces.
+//
+
+class EvictionMarkProperty
+    : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(EvictionMarkProperty, RandomScheduleMatchesSetOracle)
+{
+    Rng rng(GetParam() * 7727 + 29);
+    CacheConfig cfg;
+    cfg.name = "tiny";
+    cfg.assoc = 2;
+    cfg.lineBytes = 64;
+    cfg.sizeBytes = 4 * 2 * 64; // 4 sets
+    Cache c(cfg);
+    std::set<Addr> oracle;
+
+    std::vector<Addr> blocks;
+    for (Addr tenant : {0ull, 1ull, 6ull}) {
+        for (Addr region : {0ull, 1ull, 63ull, 64ull, 0xfffffull,
+                            0x100000ull}) {
+            for (Addr b : {0ull, 1ull, 2ull, 31ull, 62ull, 63ull}) {
+                blocks.push_back((tenant << 32) + region * 4096 +
+                                 b * 64);
+            }
+        }
+    }
+
+    auto clear = [&](Addr addr, int op) {
+        const bool want = oracle.erase(addr & ~63ull) > 0;
+        ASSERT_EQ(c.clearEvictedMark(addr), want) << "op " << op;
+    };
+    auto mark = [&](Addr victim) {
+        c.markEvicted(victim);
+        oracle.insert(victim);
+    };
+
+    for (int op = 0; op < 30'000; op++) {
+        const Addr addr = blocks[rng.below(blocks.size())] +
+            rng.below(64);
+        switch (rng.below(5)) {
+          case 0:
+          case 1: {
+            const CacheOutcome out = c.access(
+                addr, rng.chance(0.3) ? MemOp::Store : MemOp::Load);
+            if (!out.hit)
+                clear(addr, op);
+            if (out.evicted && rng.chance(0.8))
+                mark(out.victimAddr);
+            break;
+          }
+          case 2: {
+            const Addr victim = blocks[rng.below(blocks.size())];
+            const CacheOutcome out = rng.chance(0.5)
+                ? c.fill(addr)
+                : c.fillReplacing(addr, victim);
+            if (!out.hit)
+                clear(addr, op);
+            if (out.evicted && rng.chance(0.8))
+                mark(out.victimAddr);
+            break;
+          }
+          case 3:
+            if (!c.probe(addr))
+                mark(addr & ~63ull);
+            break;
+          default:
+            clear(addr, op);
+            break;
+        }
+        if (rng.chance(0.001))
+            c.flush(); // marks outlive the contents
+        if (op % 512 == 0)
+            c.auditInvariants();
+    }
+
+    // Drain: every block answers exactly as the oracle says, once.
+    c.auditInvariants();
+    for (Addr b : blocks)
+        clear(b, -1);
+    EXPECT_TRUE(oracle.empty());
+    for (Addr b : blocks)
+        EXPECT_FALSE(c.clearEvictedMark(b));
+    c.auditInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EvictionMarkProperty,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 } // namespace
