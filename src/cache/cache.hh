@@ -312,10 +312,9 @@ class Cache
      * of the global stamp counter, the eviction-mark map is a sound
      * open-addressed table whose region words are non-zero and mark
      * only non-resident blocks, and the counters are mutually
-     * consistent. Cold path: called at
-     * engine batch boundaries when auditing is enabled (see
-     * util/check.hh) and directly by the property/death-test suites.
-     * Panics on the first violation.
+     * consistent. Cold path: called at engine batch boundaries when
+     * auditing is enabled (see util/check.hh) and directly by the
+     * property/death-test suites. Panics on the first violation.
      */
     void auditInvariants() const;
 

@@ -63,12 +63,12 @@ Ghb::observe(const MemRef &ref, const HierOutcome &out)
     // reaching history[i+1]. The most recent delta pair (deltas[0],
     // deltas[1]) is searched for in the older delta stream: each pair
     // (deltas[i], deltas[i+1]), i >= 2, is tested as soon as it
-    // exists, so the walk stops at the smallest matching i — the
-    // match a full walk followed by a search would pick.
-    std::int64_t deltas[maxChain];
+    // exists, so the walk stops at the smallest matching i, the
+    // pair's most recent recurrence.
+    std::int64_t deltas[maxChain] = {};
     Addr newer = block;
     std::uint32_t walked = 1; // history entries reached
-    std::uint32_t match = 0;
+    std::uint32_t match = 0; // none: a match index is >= 2
     while (walked < maxChain && serialLive(entry->prevSerial)) {
         entry = &ghb_[entry->prevSerial & (config_.ghbEntries - 1)];
         deltas[walked - 1] = static_cast<std::int64_t>(newer) -
