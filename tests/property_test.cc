@@ -632,7 +632,7 @@ TEST_P(GhbProperty, RandomMissStreamMatchesNaiveModelExactly)
     // delta cycles, repeats of the same block, and random jumps.
     struct Stream
     {
-        Addr next;
+        Addr next = 0;
         std::vector<std::int64_t> cycle;
         std::size_t pos = 0;
     };
@@ -657,12 +657,13 @@ TEST_P(GhbProperty, RandomMissStreamMatchesNaiveModelExactly)
             solo = rng.chance(0.4);
         const std::size_t p = solo ? 0 : rng.below(pcs.size());
         Stream &st = streams[p];
-        if (rng.chance(0.05))
+        const double roll = rng.uniform();
+        if (roll < 0.05) {
             st.next += rng.below(1 << 16) * 64; // random delta
-        else if (!rng.chance(0.05)) {           // else: repeat
+        } else if (roll < 0.95) {
             st.next += static_cast<Addr>(st.cycle[st.pos]);
             st.pos = (st.pos + 1) % st.cycle.size();
-        }
+        } // else the same block misses again
 
         MemRef ref;
         ref.pc = pcs[p];
