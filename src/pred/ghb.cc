@@ -37,11 +37,10 @@ Ghb::insertMiss(Addr pc, Addr block_addr)
         index_[mix64(pc) & (config_.indexEntries - 1)];
 
     entry.missAddr = block_addr;
-    const bool chained = idx.valid && idx.pcTag == pc &&
-        serialLive(idx.headSerial);
+    const bool chained =
+        idx.pcTag == pc && serialLive(idx.headSerial);
     entry.prevSerial = chained ? idx.headSerial : 0;
 
-    idx.valid = true;
     idx.pcTag = pc;
     idx.headSerial = serial;
     return entry;

@@ -65,8 +65,8 @@ class Ghb : public Prefetcher
     struct IndexEntry
     {
         Addr pcTag = invalidAddr;
+        /** Newest miss of pcTag's chain; 0 while the entry is unused. */
         std::uint64_t headSerial = 0;
-        bool valid = false;
     };
 
     bool serialLive(std::uint64_t serial) const;
