@@ -306,17 +306,39 @@ const Fig11ScaleGolden kFig11ScaleGolden[] = {
  */
 struct WritebackGolden
 {
-    std::uint64_t traceL1Misses;   //!< trace engine, lt-cords
+    std::uint64_t traceOpportunity; //!< trace engine baseline pass
+    std::uint64_t traceL1Misses;    //!< trace engine, lt-cords
     std::uint64_t traceCorrect;
-    std::uint64_t traceWbBytes;    //!< Traffic::Writeback (trace)
-    std::uint64_t timingCycles;    //!< timing engine, lt-cords
+    std::uint64_t traceWbBytes;     //!< Traffic::Writeback (trace)
+    std::uint64_t timingCycles;     //!< timing engine, lt-cords
     std::uint64_t timingL2Misses;
-    std::uint64_t timingWbBytes;   //!< Traffic::Writeback (timing)
+    std::uint64_t timingWbBytes;    //!< Traffic::Writeback (timing)
     std::uint64_t timingMemBusBusy;
 };
 
 const WritebackGolden kWritebackGolden = {
-    32768, 0, 1048576, 442601, 32768, 1048576, 731136,
+    32768, 32768, 0, 1048576, 442601, 32768, 1048576, 731136,
+};
+
+/**
+ * Predictor-less writeback expectations (exact): the trace engine with
+ * no predictor and modelWritebacks on, over a generated workload whose
+ * dirty L2 victims leave the chip. Pins the predictor-less run that
+ * cannot take the trimmed baseline body (the body bypasses the
+ * eviction listeners that charge writebacks).
+ */
+struct BaselineWritebackGolden
+{
+    const char *workload;
+    std::uint64_t refs;
+    std::uint64_t l1Misses;
+    std::uint64_t l2Misses;
+    std::uint64_t wbBytes;   //!< Traffic::Writeback
+    std::uint64_t baseBytes; //!< Traffic::BaseData
+};
+
+const BaselineWritebackGolden kBaselineWritebackGolden[] = {
+    {"gcc", 300'000, 155845, 26864, 173248, 1719296},
 };
 
 /**
@@ -632,7 +654,9 @@ TEST(GoldenWriteback, OnModeMetricsMatchExactly)
     const TimingStats cs = sim.stats();
 
     if (printMode()) {
-        std::printf("    %llu, %llu, %llu, %llu, %llu, %llu, %llu,\n",
+        std::printf("    %llu, %llu, %llu, %llu, %llu, %llu, %llu, "
+                    "%llu,\n",
+                    static_cast<unsigned long long>(ts.opportunity),
                     static_cast<unsigned long long>(ts.l1Misses),
                     static_cast<unsigned long long>(ts.correct),
                     static_cast<unsigned long long>(
@@ -647,6 +671,7 @@ TEST(GoldenWriteback, OnModeMetricsMatchExactly)
     const WritebackGolden &g = kWritebackGolden;
     EXPECT_GT(ts.traffic.bytes(Traffic::Writeback), 0u);
     EXPECT_GT(cs.traffic.bytes(Traffic::Writeback), 0u);
+    EXPECT_EQ(ts.opportunity, g.traceOpportunity);
     EXPECT_EQ(ts.l1Misses, g.traceL1Misses);
     EXPECT_EQ(ts.correct, g.traceCorrect);
     EXPECT_EQ(ts.traffic.bytes(Traffic::Writeback), g.traceWbBytes);
@@ -654,6 +679,37 @@ TEST(GoldenWriteback, OnModeMetricsMatchExactly)
     EXPECT_EQ(cs.l2Misses, g.timingL2Misses);
     EXPECT_EQ(cs.traffic.bytes(Traffic::Writeback), g.timingWbBytes);
     EXPECT_EQ(cs.memBusBusy, g.timingMemBusBusy);
+}
+
+TEST(GoldenWriteback, PredictorlessTraceMetricsMatchExactly)
+{
+    for (const BaselineWritebackGolden &g : kBaselineWritebackGolden) {
+        SCOPED_TRACE(g.workload);
+        HierarchyConfig hc = paperHierarchy();
+        hc.modelWritebacks = true;
+        auto src = makeWorkload(g.workload);
+        TraceEngine engine(hc, nullptr);
+        engine.run(*src, g.refs);
+        const CoverageStats &s = engine.stats();
+        if (printMode()) {
+            std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu},\n",
+                        g.workload,
+                        static_cast<unsigned long long>(g.refs),
+                        static_cast<unsigned long long>(s.l1Misses),
+                        static_cast<unsigned long long>(s.l2Misses),
+                        static_cast<unsigned long long>(
+                            s.traffic.bytes(Traffic::Writeback)),
+                        static_cast<unsigned long long>(
+                            s.traffic.bytes(Traffic::BaseData)));
+            continue;
+        }
+        EXPECT_GT(s.traffic.bytes(Traffic::Writeback), 0u);
+        EXPECT_EQ(s.accesses, g.refs);
+        EXPECT_EQ(s.l1Misses, g.l1Misses);
+        EXPECT_EQ(s.l2Misses, g.l2Misses);
+        EXPECT_EQ(s.traffic.bytes(Traffic::Writeback), g.wbBytes);
+        EXPECT_EQ(s.traffic.bytes(Traffic::BaseData), g.baseBytes);
+    }
 }
 
 TEST(AblationPolicyGolden, BaselineMissCountsMatchExactly)

@@ -53,6 +53,22 @@ makeTenants(std::uint32_t n)
     return apps;
 }
 
+/**
+ * makeTenants' first three sources cut to 1000, 250 and 5000
+ * references: finite traces that end inside a schedule's budget.
+ */
+std::vector<std::unique_ptr<TraceSource>>
+makeFiniteTenants(std::uint32_t n)
+{
+    const std::uint64_t limits[] = {1000, 250, 5000};
+    auto apps = makeTenants(n);
+    for (std::uint32_t i = 0; i < n; i++) {
+        apps[i] = std::make_unique<LimitSource>(std::move(apps[i]),
+                                                limits[i]);
+    }
+    return apps;
+}
+
 /** A schedule from the production generator (static or churn). */
 std::vector<TraceEngine::ScheduleQuantum>
 makeSchedule(std::uint32_t tenants, std::uint64_t quantum,
@@ -83,16 +99,30 @@ expectSameCoverage(const CoverageStats &a, const CoverageStats &b)
     }
 }
 
+/** What runSchedule consumed: its return value and per-bucket stats. */
+struct ScheduleOutcome
+{
+    std::uint64_t done = 0;
+    std::vector<CoverageStats> buckets;
+};
+
+/** Builds a fresh set of @p n tenant sources. */
+using TenantFactory =
+    std::vector<std::unique_ptr<TraceSource>> (*)(std::uint32_t n);
+
 /**
  * The property itself: runSchedule over @p schedule must produce the
  * same per-bucket stats and cache counters as the scalar loop it
  * documents itself against.
+ *
+ * @return What the runSchedule side consumed.
  */
-void
+ScheduleOutcome
 checkSchedule(const std::string &pred_name, std::uint32_t tenants,
               const std::vector<TraceEngine::ScheduleQuantum> &schedule,
               const HierarchyConfig &hc,
-              std::uint32_t partitions = 1)
+              std::uint32_t partitions = 1,
+              TenantFactory make_apps = makeTenants)
 {
     SCOPED_TRACE(pred_name + " x " + std::to_string(tenants) +
                  " tenants, " + std::to_string(partitions) +
@@ -111,7 +141,7 @@ checkSchedule(const std::string &pred_name, std::uint32_t tenants,
     };
 
     // Batched path.
-    auto apps_b = makeTenants(tenants);
+    auto apps_b = make_apps(tenants);
     auto pred_b = make_pred();
     TraceEngine batched(hc, pred_b.get(), tenants);
     std::vector<TraceEngine::TenantSlot> slots(tenants);
@@ -122,7 +152,7 @@ checkSchedule(const std::string &pred_name, std::uint32_t tenants,
     const std::uint64_t done_b = batched.runSchedule(slots, schedule);
 
     // Scalar oracle.
-    auto apps_s = makeTenants(tenants);
+    auto apps_s = make_apps(tenants);
     auto pred_s = make_pred();
     TraceEngine scalar(hc, pred_s.get(), tenants);
     std::uint64_t done_s = 0;
@@ -148,6 +178,12 @@ checkSchedule(const std::string &pred_name, std::uint32_t tenants,
               scalar.hierarchy().l2().accesses());
     EXPECT_EQ(batched.hierarchy().l2().misses(),
               scalar.hierarchy().l2().misses());
+
+    ScheduleOutcome outcome;
+    outcome.done = done_b;
+    for (std::uint32_t i = 0; i < tenants; i++)
+        outcome.buckets.push_back(batched.stats(i));
+    return outcome;
 }
 
 TEST(MultiProgEquivalence, StaticScheduleAcrossTenantCounts)
@@ -318,6 +354,35 @@ TEST(MultiProgEquivalence, RunMultiProgScalarKnobMatches)
             expectSameCoverage(batched[i], scalar[i]);
             EXPECT_EQ(batched[i].opportunity, scalar[i].opportunity);
         }
+    }
+}
+
+TEST(MultiProgEquivalence, TenantTraceEndsMidQuantum)
+{
+    // Finite tenants whose traces end inside the budget: tenant 0
+    // runs dry in its third quantum, tenant 1 inside its first, and
+    // tenant 2 never does. Later quanta of a drained tenant consume
+    // nothing, and a drained source stays drained across run() calls.
+    const auto schedule = makeSchedule(3, /*quantum=*/400,
+                                       /*switches=*/12,
+                                       /*churn_seed=*/0);
+    for (const char *pred_name : {"none", "lt-cords"}) {
+        SCOPED_TRACE(pred_name);
+        const ScheduleOutcome got =
+            checkSchedule(pred_name, 3, schedule, paperHierarchy(),
+                          /*partitions=*/1, makeFiniteTenants);
+        EXPECT_EQ(got.done, 2850u);
+        ASSERT_EQ(got.buckets.size(), 3u);
+        EXPECT_EQ(got.buckets[0].accesses, 1000u);
+        EXPECT_EQ(got.buckets[1].accesses, 250u);
+        EXPECT_EQ(got.buckets[2].accesses, 1600u);
+
+        auto apps = makeFiniteTenants(3);
+        auto pred = makePredictor(pred_name, paperHierarchy());
+        TraceEngine engine(paperHierarchy(), pred.get());
+        EXPECT_EQ(engine.run(*apps[0], 4000), 1000u);
+        EXPECT_EQ(engine.run(*apps[0], 4000), 0u);
+        EXPECT_EQ(engine.stats().accesses, 1000u);
     }
 }
 
