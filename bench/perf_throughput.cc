@@ -78,12 +78,9 @@ perfReps()
 /**
  * One multi-tenant throughput cell: the Fig. 11 scheduling regime
  * (n tenants, ~4 rounds each, so quanta shrink as tenants multiply)
- * timed through both engine paths over the identical static
- * round-robin schedule — the batched TraceEngine::runSchedule loop
- * ("refs_per_sec") and the re-enter-run()-per-quantum reference loop
- * ("scalar_refs_per_sec", MultiProgConfig::scalarQuantums semantics).
- * The ratio is the hoisting win; at 1024 tenants each quantum is only
- * a few hundred references, the regime runSchedule exists for.
+ * timed through TraceEngine::runSchedule over a static round-robin
+ * schedule. At 1024 tenants each quantum is only a few hundred
+ * references, the regime runSchedule exists for.
  */
 void
 runMultiProgCell(std::uint32_t n, RunResult &r)
@@ -103,62 +100,27 @@ runMultiProgCell(std::uint32_t n, RunResult &r)
     const auto schedule = buildMultiProgSchedule(cfg);
 
     std::uint64_t done = 0;
-    double best_batched = 0.0;
-    double best_scalar = 0.0;
-    {
-        // Untimed warmup: touch every tenant's generator state once
-        // so neither timed path pays the first-touch cost of the
-        // other's measurement order.
+    double best = 0.0;
+    // Untimed warmup rep first: it touches every tenant's generator
+    // state once, so no timed rep pays the first-touch cost.
+    for (unsigned rep = 0; rep <= perfReps(); rep++) {
+        for (auto &app : apps)
+            app->reset();
         TraceEngine engine(paperHierarchy(), nullptr, n);
         std::vector<TraceEngine::TenantSlot> tenants(n);
         for (std::uint32_t i = 0; i < n; i++) {
             tenants[i].src = apps[i].get();
             tenants[i].bucket = i;
         }
-        engine.runSchedule(tenants, schedule);
-    }
-    for (unsigned rep = 0; rep < perfReps(); rep++) {
-        {
-            for (auto &app : apps)
-                app->reset();
-            TraceEngine engine(paperHierarchy(), nullptr, n);
-            std::vector<TraceEngine::TenantSlot> tenants(n);
-            for (std::uint32_t i = 0; i < n; i++) {
-                tenants[i].src = apps[i].get();
-                tenants[i].bucket = i;
-            }
-            const auto t0 = std::chrono::steady_clock::now();
-            done = engine.runSchedule(tenants, schedule);
-            const double secs =
-                seconds(t0, std::chrono::steady_clock::now());
-            if (secs > 0.0)
-                best_batched = std::max(
-                    best_batched, static_cast<double>(done) / secs);
-        }
-        {
-            for (auto &app : apps)
-                app->reset();
-            TraceEngine engine(paperHierarchy(), nullptr, n);
-            std::uint64_t scalar_done = 0;
-            const auto t0 = std::chrono::steady_clock::now();
-            for (const TraceEngine::ScheduleQuantum &q : schedule) {
-                engine.selectBucket(q.tenant);
-                scalar_done += engine.run(*apps[q.tenant], q.refs);
-            }
-            const double secs =
-                seconds(t0, std::chrono::steady_clock::now());
-            if (secs > 0.0)
-                best_scalar = std::max(
-                    best_scalar,
-                    static_cast<double>(scalar_done) / secs);
-        }
+        const auto t0 = std::chrono::steady_clock::now();
+        done = engine.runSchedule(tenants, schedule);
+        const double secs = seconds(t0, std::chrono::steady_clock::now());
+        if (rep > 0 && secs > 0.0)
+            best = std::max(best, static_cast<double>(done) / secs);
     }
 
     r.set("refs", static_cast<double>(done));
-    r.set("refs_per_sec", best_batched);
-    r.set("scalar_refs_per_sec", best_scalar);
-    r.set("speedup",
-          best_scalar > 0.0 ? best_batched / best_scalar : 0.0);
+    r.set("refs_per_sec", best);
 }
 
 } // namespace
@@ -247,8 +209,8 @@ main(int argc, char **argv)
     }
     sink.table(table);
 
-    // Multi-tenant engine cells: the batched schedule loop vs the
-    // scalar per-quantum reference path, at 2 / 64 / 1024 tenants.
+    // Multi-tenant engine cells: the schedule loop at 2 / 64 / 1024
+    // tenants.
     const std::vector<std::uint32_t> tenant_counts = {2, 64, 1024};
     std::vector<RunCell> mp_cells;
     for (std::uint32_t n : tenant_counts) {
@@ -266,26 +228,13 @@ main(int argc, char **argv)
         });
 
     Table mp_table("Multi-tenant engine throughput (Mrefs/s;"
-                   " batched runSchedule vs scalar per-quantum)");
-    mp_table.setHeader(
-        {"tenants", "batched", "scalar", "speedup"});
-    double speedup64 = 0.0;
+                   " TraceEngine::runSchedule)");
+    mp_table.setHeader({"tenants", "runSchedule"});
     for (const auto &r : mp_results) {
-        mp_table.addRow(
-            {r.cell.config.substr(1),
-             Table::num(r.get("refs_per_sec") / 1e6, 2),
-             Table::num(r.get("scalar_refs_per_sec") / 1e6, 2),
-             Table::num(r.get("speedup"), 2) + "x"});
-        if (r.cell.config == "t64")
-            speedup64 = r.get("speedup");
+        mp_table.addRow({r.cell.config.substr(1),
+                         Table::num(r.get("refs_per_sec") / 1e6, 2)});
     }
     sink.table(mp_table);
-    std::string mp_note =
-        "multiprog at 64 tenants: batched schedule loop is ";
-    mp_note += Table::num(speedup64, 2);
-    mp_note += "x the scalar per-quantum path on the identical "
-               "interleaving";
-    sink.note(mp_note);
     sink.add(std::move(mp_results));
 
     sink.add(std::move(results));

@@ -117,18 +117,22 @@ class TraceEngine : public CacheListener
     /** Route subsequent events to bucket @p bucket. */
     void selectBucket(std::uint32_t bucket);
 
-    /** Process one reference. */
+    /** Process one reference (runtime associativity and policy). */
     void step(const MemRef &ref);
 
     /**
-     * Process up to @p refs references from @p src.
+     * Process up to @p refs references from @p src in the current
+     * bucket: a one-tenant, one-quantum runSchedule that leaves the
+     * predictor's selected tenant alone.
      *
-     * The batched kernel: references are pulled through
-     * TraceSource::fill() into a reusable buffer and stepped in a
-     * tight non-virtual inner loop, so the per-reference cost is the
-     * cache model itself — no virtual dispatch, no hash probes, no
-     * allocation. Never pulls more than @p refs records (quantum
-     * interleavings replay exactly).
+     * References are pulled through TraceSource::fill() into a
+     * reusable buffer and stepped in a tight non-virtual inner loop,
+     * so the per-reference cost is the cache model itself — no
+     * virtual dispatch, no hash probes, no allocation. Never pulls
+     * more than @p refs records (quantum interleavings replay
+     * exactly).
+     *
+     * @return References actually consumed (short on a trace end).
      */
     std::uint64_t run(TraceSource &src, std::uint64_t refs);
 
@@ -151,7 +155,7 @@ class TraceEngine : public CacheListener
     /**
      * Process a whole multi-programmed schedule in one call.
      *
-     * Semantically identical to the scalar quantum loop
+     * Semantically identical to the per-quantum loop
      *
      *     for (q : schedule) {
      *         selectBucket(tenants[q.tenant].bucket);
@@ -239,40 +243,44 @@ class TraceEngine : public CacheListener
         pred_->feedbackBatch(fbBuf_.data(), fbBuf_.size());
         fbBuf_.clear();
     }
-    /** Trimmed kernel for predictor-less runs (see run()). */
-    std::uint64_t runBaseline(TraceSource &src, std::uint64_t refs);
-    /**
-     * runBaseline's loop, specialized per cache associativity and
-     * replacement policy (dispatchHierarchyKernel; the same contract
-     * for every batched kernel below).
-     */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runBaselineLoop(TraceSource &src,
-                                  std::uint64_t refs);
-    /**
-     * Batched kernel for predictor runs: the same event sequence as
-     * step()+drainPredictor(), but the loop-owned CoverageStats
-     * counters stay register-resident between predictor drains and
-     * are reconciled into the bucket once per run — the bucket only
-     * sees the callback-owned counters (useless prefetches, incorrect
-     * traffic, sequence bytes) while the loop is hot. The
-     * associativity template arguments unroll the way scans as in
-     * runBaselineLoop.
-     */
-    std::uint64_t runPredicted(TraceSource &src, std::uint64_t refs);
-    /** runPredicted's loop, specialized per assoc and policy. */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runPredictedLoop(TraceSource &src,
-                                   std::uint64_t refs);
 
     /**
-     * Per-tenant pull state for runSchedule. pos/fill index the
-     * shared batch_ buffer within a quantum; refills are capped at
-     * the quantum's remaining references, so they are always equal
-     * (buffer drained) at quantum boundaries. Rebuilt per
-     * runSchedule call.
+     * The loop-owned CoverageStats counters. They are disjoint from
+     * everything the eviction listeners and drainPredictor() write
+     * into the bucket (useless prefetches, incorrect, writeback and
+     * sequence traffic), so they stay register-resident for a whole
+     * quantum and fold into the bucket once (commit) without
+     * reordering any observable event.
+     */
+    struct Counters
+    {
+        std::uint64_t accesses = 0;
+        std::uint64_t instructions = 0;
+        std::uint64_t l1Misses = 0;
+        std::uint64_t l2Misses = 0;
+        std::uint64_t correct = 0;
+        std::uint64_t early = 0;
+        std::uint64_t baseBytes = 0; //!< Traffic::BaseData
+    };
+
+    /** Fold @p c into @p s. */
+    static void commit(const Counters &c, CoverageStats &s);
+
+    /**
+     * The full per-reference event sequence — shared by the scalar
+     * step() (runtime associativity, PolicyAuto) and the pull loop
+     * (associativity and policy from dispatchHierarchyKernel), so the
+     * two cannot diverge. Runs with or without a predictor attached.
+     */
+    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
+              typename Policy>
+    void stepImpl(const MemRef &ref, Counters &c);
+
+    /**
+     * Per-tenant pull state. pos/fill index the shared batch_ buffer
+     * within a quantum; refills are capped at the quantum's remaining
+     * references, so they are always equal (buffer drained) at
+     * quantum boundaries. Rebuilt per run()/runSchedule() call.
      */
     struct MultiTenantCursor
     {
@@ -281,16 +289,29 @@ class TraceEngine : public CacheListener
         std::uint32_t pos = 0;  //!< next unconsumed record
         std::uint32_t fill = 0; //!< valid records in the buffer
     };
-    /** runSchedule's baseline kernel (see runBaselineLoop). */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t
-    runScheduleBaselineLoop(std::span<const ScheduleQuantum> schedule);
-    /** runSchedule's predictor kernel (see runPredictedLoop). */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t
-    runSchedulePredictedLoop(std::span<const ScheduleQuantum> schedule);
+
+    /**
+     * Run @p schedule over cursors_, the shared back end of run() and
+     * runSchedule(). Picks the per-reference body once per call: the
+     * trimmed Cache::accessBaseline body when no prefetch state can
+     * exist, stepImpl otherwise. @p select_tenants routes each
+     * quantum to its tenant's predictor partition (runSchedule only).
+     */
+    std::uint64_t runCursors(std::span<const ScheduleQuantum> schedule,
+                             bool select_tenants);
+
+    /**
+     * The one pull loop: for each quantum, refill the tenant's
+     * cursor from its source, apply @p body to every reference, and
+     * commit the quantum's Counters to the tenant's bucket.
+     *
+     * @return The schedule's accesses and L1/L2 misses (what the
+     *         baseline body reconciles into the hierarchy); the other
+     *         fields stay zero.
+     */
+    template <typename Body>
+    Counters runQuanta(std::span<const ScheduleQuantum> schedule,
+                       bool select_tenants, Body &&body);
 
     HierarchyConfig hierConfig_;
     CacheHierarchy hier_;
@@ -305,9 +326,9 @@ class TraceEngine : public CacheListener
      * map (Cache::markEvicted) — see cache/cache.hh. The engine only
      * keeps reusable buffers.
      */
-    /** Pull buffer shared by run() and the runSchedule kernels. */
+    /** Pull buffer shared by every tenant. */
     std::vector<MemRef> batch_;
-    /** runSchedule tenant cursors (rebuilt per call). */
+    /** Tenant cursors (rebuilt per run()/runSchedule() call). */
     std::vector<MultiTenantCursor> cursors_;
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
     std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer

@@ -355,7 +355,7 @@ checkTraceEngine(const std::string &pred_name,
 
 TEST(BatchEquivalence, TraceEngineBaselineKernel)
 {
-    // pred == nullptr exercises the trimmed runBaseline kernel.
+    // pred == nullptr exercises the trimmed baseline body.
     checkTraceEngine("none");
 }
 
@@ -368,9 +368,9 @@ TEST(BatchEquivalence, TraceEngineWithPredictors)
 
 TEST(BatchEquivalence, TraceEngineReplacementPolicies)
 {
-    // Every policy plugin, through both the trimmed baseline kernel
-    // ("none") and the full predicted kernel. Random's per-conflict
-    // RNG draw order and DeadBlock's markDead wiring are part of the
+    // Every policy plugin, through both the trimmed baseline body
+    // ("none") and the full stepImpl body. Random's per-conflict RNG
+    // draw order and DeadBlock's markDead wiring are part of the
     // batched/scalar contract.
     for (const ReplPolicy p : allReplPolicies) {
         SCOPED_TRACE(replPolicyName(p));
@@ -384,9 +384,9 @@ TEST(BatchEquivalence, TraceEngineReplacementPolicies)
 
 TEST(BatchEquivalence, TraceEngineWritebackModelling)
 {
-    // modelWritebacks disables the trimmed baseline kernel (its
-    // listeners are bypassed there); the general kernel must carry
-    // the writeback charges identically on both paths.
+    // modelWritebacks disables the trimmed baseline body (its
+    // listeners are bypassed there); stepImpl must carry the
+    // writeback charges identically at static and runtime dispatch.
     HierarchyConfig hc = paperHierarchy();
     hc.modelWritebacks = true;
     checkTraceEngine("none", hc, 60'000);

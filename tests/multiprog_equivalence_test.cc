@@ -1,11 +1,11 @@
 /**
  * @file
- * Multi-tenant batched/scalar equivalence suite.
+ * Multi-tenant schedule equivalence suite.
  *
- * TraceEngine::runSchedule — the batched multi-tenant loop that
- * hoists dispatch, cursors and pull buffers outside the quantum
- * loop — must be indistinguishable from the scalar reference loop
- * (selectBucket + selectTenant + run per quantum). These tests drive
+ * TraceEngine::runSchedule — one call that hoists dispatch, cursors
+ * and pull buffers outside the quantum loop — must be
+ * indistinguishable from re-entering run() per quantum
+ * (selectBucket + selectTenant + run). These tests drive
  * both paths over identical tenant sets and schedules — static and
  * churn-driven, on- and off-dispatch geometries, shared and
  * partitioned signature caches, 2 to 1024 tenants — and compare
@@ -112,8 +112,8 @@ using TenantFactory =
 
 /**
  * The property itself: runSchedule over @p schedule must produce the
- * same per-bucket stats and cache counters as the scalar loop it
- * documents itself against.
+ * same per-bucket stats and cache counters as the per-quantum run()
+ * loop it documents itself against.
  *
  * @return What the runSchedule side consumed.
  */
@@ -140,49 +140,49 @@ checkSchedule(const std::string &pred_name, std::uint32_t tenants,
         return makePredictor(pred_name, hc);
     };
 
-    // Batched path.
+    // One runSchedule call.
     auto apps_b = make_apps(tenants);
     auto pred_b = make_pred();
-    TraceEngine batched(hc, pred_b.get(), tenants);
+    TraceEngine sched(hc, pred_b.get(), tenants);
     std::vector<TraceEngine::TenantSlot> slots(tenants);
     for (std::uint32_t i = 0; i < tenants; i++) {
         slots[i].src = apps_b[i].get();
         slots[i].bucket = i;
     }
-    const std::uint64_t done_b = batched.runSchedule(slots, schedule);
+    const std::uint64_t done_b = sched.runSchedule(slots, schedule);
 
-    // Scalar oracle.
+    // run() per quantum.
     auto apps_s = make_apps(tenants);
     auto pred_s = make_pred();
-    TraceEngine scalar(hc, pred_s.get(), tenants);
+    TraceEngine perq(hc, pred_s.get(), tenants);
     std::uint64_t done_s = 0;
     for (const TraceEngine::ScheduleQuantum &q : schedule) {
-        scalar.selectBucket(q.tenant);
+        perq.selectBucket(q.tenant);
         if (pred_s)
             pred_s->selectTenant(q.tenant);
-        done_s += scalar.run(*apps_s[q.tenant], q.refs);
+        done_s += perq.run(*apps_s[q.tenant], q.refs);
     }
 
     EXPECT_EQ(done_b, done_s);
     for (std::uint32_t i = 0; i < tenants; i++) {
         SCOPED_TRACE("bucket " + std::to_string(i));
-        expectSameCoverage(batched.stats(i), scalar.stats(i));
+        expectSameCoverage(sched.stats(i), perq.stats(i));
     }
-    EXPECT_EQ(batched.hierarchy().l1d().accesses(),
-              scalar.hierarchy().l1d().accesses());
-    EXPECT_EQ(batched.hierarchy().l1d().misses(),
-              scalar.hierarchy().l1d().misses());
-    EXPECT_EQ(batched.hierarchy().l1d().evictions(),
-              scalar.hierarchy().l1d().evictions());
-    EXPECT_EQ(batched.hierarchy().l2().accesses(),
-              scalar.hierarchy().l2().accesses());
-    EXPECT_EQ(batched.hierarchy().l2().misses(),
-              scalar.hierarchy().l2().misses());
+    EXPECT_EQ(sched.hierarchy().l1d().accesses(),
+              perq.hierarchy().l1d().accesses());
+    EXPECT_EQ(sched.hierarchy().l1d().misses(),
+              perq.hierarchy().l1d().misses());
+    EXPECT_EQ(sched.hierarchy().l1d().evictions(),
+              perq.hierarchy().l1d().evictions());
+    EXPECT_EQ(sched.hierarchy().l2().accesses(),
+              perq.hierarchy().l2().accesses());
+    EXPECT_EQ(sched.hierarchy().l2().misses(),
+              perq.hierarchy().l2().misses());
 
     ScheduleOutcome outcome;
     outcome.done = done_b;
     for (std::uint32_t i = 0; i < tenants; i++)
-        outcome.buckets.push_back(batched.stats(i));
+        outcome.buckets.push_back(sched.stats(i));
     return outcome;
 }
 
@@ -213,8 +213,8 @@ TEST(MultiProgEquivalence, ChurnSchedule)
 TEST(MultiProgEquivalence, ThousandTenants)
 {
     // Fig. 11 at scale: 1024 tenants with churn, ~150 refs per
-    // quantum — the regime where the scalar loop's per-quantum
-    // re-entry cost dominates and the batched loop must still match
+    // quantum — the regime where run()'s per-quantum re-entry cost
+    // dominates and one runSchedule call must still match
     // it event-for-event.
     const std::uint32_t tenants = 1024;
     const auto schedule =
@@ -225,10 +225,10 @@ TEST(MultiProgEquivalence, ThousandTenants)
 
 TEST(MultiProgEquivalence, ReplacementPolicySweep)
 {
-    // Every policy plugin through the hoisted multi-tenant kernels —
-    // the schedule kernels dispatch on (assoc, policy) exactly like
-    // run(), so Random's draw order and DeadBlock's mark wiring must
-    // survive the quantum hoisting too.
+    // Every policy plugin through the hoisted schedule loop — it
+    // dispatches on (assoc, policy) once per schedule instead of once
+    // per quantum, so Random's draw order and DeadBlock's mark wiring
+    // must survive the quantum hoisting too.
     const auto schedule =
         makeSchedule(4, /*quantum=*/600, /*switches=*/17,
                      /*churn_seed=*/3);
@@ -244,9 +244,9 @@ TEST(MultiProgEquivalence, ReplacementPolicySweep)
 
 TEST(MultiProgEquivalence, WritebackModelling)
 {
-    // modelWritebacks forces the schedule kernels off the trimmed
-    // baseline path; both predictor-less and predicted runs must
-    // still match the scalar loop event-for-event.
+    // modelWritebacks forces predictor-less runs off the trimmed
+    // baseline body onto stepImpl; both predictor-less and predicted
+    // runs must still match the per-quantum loop event-for-event.
     HierarchyConfig hc = paperHierarchy();
     hc.modelWritebacks = true;
     const auto schedule =
@@ -283,8 +283,8 @@ TEST(MultiProgEquivalence, PartitionedSignatureCache)
 TEST(MultiProgEquivalence, SharedModeMatchesTenantObliviousLoop)
 {
     // Backward compatibility: with an unpartitioned signature cache,
-    // selectTenant must not perturb a single stat — the batched loop
-    // must match the historical scalar loop that never called it.
+    // selectTenant must not perturb a single stat — runSchedule must
+    // match a per-quantum run() loop that never calls it.
     const std::uint32_t tenants = 4;
     const auto schedule =
         makeSchedule(tenants, /*quantum=*/800,
@@ -293,67 +293,25 @@ TEST(MultiProgEquivalence, SharedModeMatchesTenantObliviousLoop)
 
     auto apps_b = makeTenants(tenants);
     auto pred_b = makePredictor("lt-cords", hc);
-    TraceEngine batched(hc, pred_b.get(), tenants);
+    TraceEngine sched(hc, pred_b.get(), tenants);
     std::vector<TraceEngine::TenantSlot> slots(tenants);
     for (std::uint32_t i = 0; i < tenants; i++) {
         slots[i].src = apps_b[i].get();
         slots[i].bucket = i;
     }
-    batched.runSchedule(slots, schedule);
+    sched.runSchedule(slots, schedule);
 
     auto apps_s = makeTenants(tenants);
     auto pred_s = makePredictor("lt-cords", hc);
-    TraceEngine scalar(hc, pred_s.get(), tenants);
+    TraceEngine perq(hc, pred_s.get(), tenants);
     for (const TraceEngine::ScheduleQuantum &q : schedule) {
-        scalar.selectBucket(q.tenant);
-        scalar.run(*apps_s[q.tenant], q.refs); // no selectTenant
+        perq.selectBucket(q.tenant);
+        perq.run(*apps_s[q.tenant], q.refs); // no selectTenant
     }
 
     for (std::uint32_t i = 0; i < tenants; i++) {
         SCOPED_TRACE("bucket " + std::to_string(i));
-        expectSameCoverage(batched.stats(i), scalar.stats(i));
-    }
-}
-
-TEST(MultiProgEquivalence, RunMultiProgScalarKnobMatches)
-{
-    // The end-to-end harness: runMultiProg with scalarQuantums on and
-    // off must agree on every per-app stat including opportunity,
-    // with and without churn.
-    for (const std::uint64_t churn : {std::uint64_t{0},
-                                      std::uint64_t{31}}) {
-        SCOPED_TRACE("churn seed " + std::to_string(churn));
-        MultiProgConfig cfg;
-        cfg.quantumRefs = {900, 700, 800};
-        cfg.switches = 24;
-        cfg.churnSeed = churn;
-
-        auto run_once = [&](bool scalar) {
-            MultiProgConfig c = cfg;
-            c.scalarQuantums = scalar;
-            auto pred = makePredictor("lt-cords", c.hier);
-            std::vector<std::unique_ptr<TraceSource>> apps;
-            PointerChaseParams p;
-            p.nodes = 700;
-            p.seed = 3;
-            apps.push_back(std::make_unique<PointerChaseSource>(p));
-            p.nodes = 500;
-            p.seed = 4;
-            apps.push_back(std::make_unique<PointerChaseSource>(p));
-            p.nodes = 900;
-            p.seed = 5;
-            apps.push_back(std::make_unique<PointerChaseSource>(p));
-            return runMultiProg(c, pred.get(), std::move(apps));
-        };
-
-        const auto batched = run_once(false);
-        const auto scalar = run_once(true);
-        ASSERT_EQ(batched.size(), scalar.size());
-        for (std::size_t i = 0; i < batched.size(); i++) {
-            SCOPED_TRACE("app " + std::to_string(i));
-            expectSameCoverage(batched[i], scalar[i]);
-            EXPECT_EQ(batched[i].opportunity, scalar[i].opportunity);
-        }
+        expectSameCoverage(sched.stats(i), perq.stats(i));
     }
 }
 
