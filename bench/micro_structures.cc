@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <functional>
+#include <vector>
 
 #include "bench_common.hh"
 #include "cache/cache.hh"
@@ -187,13 +188,14 @@ dbcpObserve()
     Addr addr = 0x10000000;
     MemRef ref;
     ref.pc = 0x1000;
+    std::vector<PrefetchRequest> reqs; // reused, as the engines do
     return nsPerOp([&](std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; i++) {
             addr += 64;
             ref.addr = addr;
             const HierOutcome out = hier.access(addr, MemOp::Load);
             dbcp.observe(ref, out);
-            dbcp.drainRequests();
+            dbcp.drainRequestsInto(reqs);
         }
     });
 }
@@ -207,12 +209,13 @@ ghbObserve()
     HierOutcome out;
     out.level = HitLevel::Memory;
     Addr addr = 0x10000000;
+    std::vector<PrefetchRequest> reqs; // reused, as the engines do
     return nsPerOp([&](std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; i++) {
             addr += 64;
             ref.addr = addr;
             ghb.observe(ref, out);
-            ghb.drainRequests();
+            ghb.drainRequestsInto(reqs);
         }
     });
 }
@@ -225,6 +228,7 @@ ltcordsObservePath()
     Addr addr = 0x10000000;
     MemRef ref;
     ref.pc = 0x1000;
+    std::vector<PrefetchRequest> reqs; // reused, as the engines do
     return nsPerOp([&](std::uint64_t n) {
         for (std::uint64_t i = 0; i < n; i++) {
             addr += 64;
@@ -233,7 +237,7 @@ ltcordsObservePath()
             ref.addr = addr;
             const HierOutcome out = hier.access(addr, MemOp::Load);
             ltc.observe(ref, out);
-            ltc.drainRequests();
+            ltc.drainRequestsInto(reqs);
         }
     });
 }

@@ -69,34 +69,11 @@ OooCore::auditInvariants() const
     auditRing(lsqRing_, lsqHead_, config_.lsqSize, lastRetire_, "LSQ");
     LTC_CHECK(memInstructions_ <= instructions_, memInstructions_,
               " memory instructions out of ", instructions_);
-    LTC_CHECK(intervalInstBase_ <= instructions_, "interval base ",
-              intervalInstBase_, " ahead of ", instructions_,
-              " instructions");
     if (memPending_) {
         LTC_CHECK(pendingIssueSlot_ >= frontier_,
                   "pending memory op issued at slot ",
                   pendingIssueSlot_, " behind frontier ", frontier_);
     }
-}
-
-void
-OooCore::beginInterval()
-{
-    intervalInstBase_ = instructions_;
-    intervalCycleBase_ = finishCycle();
-}
-
-InstCount
-OooCore::intervalInstructions() const
-{
-    return instructions_ - intervalInstBase_;
-}
-
-Cycle
-OooCore::intervalCycles() const
-{
-    const Cycle now = finishCycle();
-    return now > intervalCycleBase_ ? now - intervalCycleBase_ : 0;
 }
 
 } // namespace ltc

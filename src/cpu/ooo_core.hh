@@ -80,13 +80,6 @@ class OooCore
      */
     void auditInvariants() const;
 
-    /** Start a measurement interval (resets instruction/cycle base). */
-    void beginInterval();
-    /** Instructions retired in the current interval. */
-    InstCount intervalInstructions() const;
-    /** Cycles in the current interval. */
-    Cycle intervalCycles() const;
-
   private:
     using Slot = std::uint64_t; //!< 1 slot = 1/width cycle
 
@@ -111,9 +104,6 @@ class OooCore
 
     bool memPending_ = false;
     Slot pendingIssueSlot_ = 0;
-
-    InstCount intervalInstBase_ = 0;
-    Cycle intervalCycleBase_ = 0;
 
     /** Death-test hook: lets the invariant suite corrupt state. */
     friend struct TestPeer;

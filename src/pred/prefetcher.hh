@@ -111,27 +111,13 @@ class Prefetcher
      * Move the pending requests into @p out, replacing its contents
      * (the queue is left empty). The engines call this once per
      * reference with a reusable buffer: the two vectors swap storage,
-     * so the steady state allocates nothing — unlike drainRequests(),
-     * which returns a fresh vector every call.
+     * so the steady state allocates nothing.
      */
     void
     drainRequestsInto(std::vector<PrefetchRequest> &out)
     {
         out.clear();
         std::swap(out, requests_);
-    }
-
-    /**
-     * Move the pending requests out (clears the queue). Convenience
-     * wrapper over drainRequestsInto() for tests and tools; hot loops
-     * should pass a reusable buffer instead.
-     */
-    std::vector<PrefetchRequest>
-    drainRequests()
-    {
-        std::vector<PrefetchRequest> out;
-        drainRequestsInto(out);
-        return out;
     }
 
     bool hasRequests() const { return !requests_.empty(); }

@@ -19,6 +19,7 @@ std::vector<PrefetchRequest>
 feedMisses(MarkovPrefetcher &mp, const std::vector<Addr> &addrs)
 {
     std::vector<PrefetchRequest> all;
+    std::vector<PrefetchRequest> drained;
     for (Addr a : addrs) {
         MemRef ref;
         ref.pc = 0x400;
@@ -26,8 +27,8 @@ feedMisses(MarkovPrefetcher &mp, const std::vector<Addr> &addrs)
         HierOutcome out;
         out.level = HitLevel::Memory;
         mp.observe(ref, out);
-        for (auto &req : mp.drainRequests())
-            all.push_back(req);
+        mp.drainRequestsInto(drained);
+        all.insert(all.end(), drained.begin(), drained.end());
     }
     return all;
 }

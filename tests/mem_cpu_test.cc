@@ -391,18 +391,6 @@ TEST(OooCoreTest, InstructionCounting)
     EXPECT_EQ(core.instructions(), 11u);
 }
 
-TEST(OooCoreTest, IntervalMeasurement)
-{
-    OooCore core(CoreConfig{});
-    core.issueNonMem(100);
-    core.beginInterval();
-    core.issueNonMem(800);
-    EXPECT_EQ(core.intervalInstructions(), 800u);
-    EXPECT_NEAR(static_cast<double>(core.intervalInstructions()) /
-                    static_cast<double>(core.intervalCycles()),
-                8.0, 0.5);
-}
-
 TEST(OooCoreDeathTest, CompleteBeforeIssuePanics)
 {
     OooCore core(CoreConfig{});

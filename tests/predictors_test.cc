@@ -190,6 +190,7 @@ std::vector<PrefetchRequest>
 feedMisses(Ghb &ghb, const std::vector<Addr> &addrs, Addr pc)
 {
     std::vector<PrefetchRequest> all;
+    std::vector<PrefetchRequest> drained;
     for (Addr a : addrs) {
         MemRef ref;
         ref.pc = pc;
@@ -197,8 +198,8 @@ feedMisses(Ghb &ghb, const std::vector<Addr> &addrs, Addr pc)
         HierOutcome out;
         out.level = HitLevel::Memory; // miss
         ghb.observe(ref, out);
-        for (auto &req : ghb.drainRequests())
-            all.push_back(req);
+        ghb.drainRequestsInto(drained);
+        all.insert(all.end(), drained.begin(), drained.end());
     }
     return all;
 }
@@ -248,6 +249,7 @@ TEST(GhbTest, SeparatePcsSeparateChains)
     // Interleave two strided streams by different PCs; both must be
     // detected despite interleaving.
     std::vector<PrefetchRequest> reqs;
+    std::vector<PrefetchRequest> drained;
     for (int i = 0; i < 10; i++) {
         for (Addr pc : {0x400ull, 0x500ull}) {
             MemRef ref;
@@ -257,8 +259,8 @@ TEST(GhbTest, SeparatePcsSeparateChains)
             HierOutcome out;
             out.level = HitLevel::Memory;
             ghb.observe(ref, out);
-            for (auto &r : ghb.drainRequests())
-                reqs.push_back(r);
+            ghb.drainRequestsInto(drained);
+            reqs.insert(reqs.end(), drained.begin(), drained.end());
         }
     }
     bool low = false;
@@ -317,10 +319,12 @@ TEST(StrideTest, ArmsAfterTwoConfirmations)
     HierOutcome out;
     out.level = HitLevel::Memory;
     int issued = 0;
+    std::vector<PrefetchRequest> drained;
     for (int i = 0; i < 6; i++) {
         ref.addr = 0x100000 + static_cast<Addr>(i) * 128;
         sp.observe(ref, out);
-        issued += static_cast<int>(sp.drainRequests().size());
+        sp.drainRequestsInto(drained);
+        issued += static_cast<int>(drained.size());
     }
     EXPECT_GT(issued, 0);
 }
@@ -335,11 +339,12 @@ TEST(StrideTest, PrefetchesFollowStride)
     HierOutcome out;
     out.level = HitLevel::Memory;
     std::vector<PrefetchRequest> reqs;
+    std::vector<PrefetchRequest> drained;
     for (int i = 0; i < 8; i++) {
         ref.addr = 0x100000 + static_cast<Addr>(i) * 256;
         sp.observe(ref, out);
-        for (auto &r : sp.drainRequests())
-            reqs.push_back(r);
+        sp.drainRequestsInto(drained);
+        reqs.insert(reqs.end(), drained.begin(), drained.end());
     }
     ASSERT_FALSE(reqs.empty());
     EXPECT_EQ(reqs.back().target, ref.addr + 2 * 256);
@@ -355,10 +360,12 @@ TEST(StrideTest, IrregularStreamStaysQuiet)
     HierOutcome out;
     out.level = HitLevel::Memory;
     int issued = 0;
+    std::vector<PrefetchRequest> drained;
     for (int i = 0; i < 200; i++) {
         ref.addr = 0x100000 + rng.below(1 << 22);
         sp.observe(ref, out);
-        issued += static_cast<int>(sp.drainRequests().size());
+        sp.drainRequestsInto(drained);
+        issued += static_cast<int>(drained.size());
     }
     EXPECT_LT(issued, 10);
 }

@@ -652,6 +652,7 @@ TEST_P(GhbProperty, RandomMissStreamMatchesNaiveModelExactly)
     // so its chain outgrows maxChain; mixed phases interleave every
     // PC, and the index twin keeps cutting the first PC's chain.
     bool solo = false;
+    std::vector<PrefetchRequest> got;
     for (int op = 0; op < 4000; op++) {
         if (op % 200 == 0)
             solo = rng.chance(0.4);
@@ -673,7 +674,7 @@ TEST_P(GhbProperty, RandomMissStreamMatchesNaiveModelExactly)
         out.level = hit ? HitLevel::L1 : HitLevel::Memory;
         ghb.observe(ref, out);
 
-        const std::vector<PrefetchRequest> got = ghb.drainRequests();
+        ghb.drainRequestsInto(got);
         const std::vector<Addr> want =
             hit ? std::vector<Addr>{} : naive.miss(ref.pc, ref.addr);
         ASSERT_EQ(got.size(), want.size()) << "op " << op;
