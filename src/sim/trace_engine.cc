@@ -312,11 +312,11 @@ TraceEngine::step(const MemRef &ref)
 }
 
 template <typename Body>
-TraceEngine::Counters
+std::uint64_t
 TraceEngine::runQuanta(std::span<const ScheduleQuantum> schedule,
                        bool select_tenants, Body &&body)
 {
-    Counters total;
+    std::uint64_t done = 0;
     for (const ScheduleQuantum &q : schedule) {
         MultiTenantCursor &t = cursors_[q.tenant];
         current_ = t.bucket;
@@ -350,11 +350,9 @@ TraceEngine::runQuanta(std::span<const ScheduleQuantum> schedule,
             remaining -= chunk;
         }
         commit(c, buckets_[t.bucket]);
-        total.accesses += c.accesses;
-        total.l1Misses += c.l1Misses;
-        total.l2Misses += c.l2Misses;
+        done += c.accesses;
     }
-    return total;
+    return done;
 }
 
 std::uint64_t
@@ -385,20 +383,21 @@ TraceEngine::runCursors(std::span<const ScheduleQuantum> schedule,
                                  [this](const MemRef &ref, Counters &c) {
                                      stepImpl<L1Assoc, L2Assoc, Policy>(
                                          ref, c);
-                                 })
-                    .accesses;
+                                 });
             }
             // Predictor-less, stepImpl degenerates to counting hits
             // and misses: the caches' counters live in BaselineCursors
             // for the whole schedule and the hierarchy's are
-            // reconciled afterwards, so the inner loop is loads,
-            // compares and register increments only.
+            // reconciled from them afterwards, so the inner loop is
+            // loads, compares and register increments only.
             Cache &l1 = hier_.l1d();
             Cache &l2 = hier_.l2();
-            Cache::BaselineCursor c1 = l1.baselineCursor();
-            Cache::BaselineCursor c2 = l2.baselineCursor();
+            const Cache::BaselineCursor start1 = l1.baselineCursor();
+            const Cache::BaselineCursor start2 = l2.baselineCursor();
+            Cache::BaselineCursor c1 = start1;
+            Cache::BaselineCursor c2 = start2;
             const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
-            const Counters total = runQuanta(
+            const std::uint64_t consumed = runQuanta(
                 schedule, select_tenants,
                 [&](const MemRef &ref, Counters &c) {
                     c.accesses++;
@@ -415,9 +414,10 @@ TraceEngine::runCursors(std::span<const ScheduleQuantum> schedule,
                 });
             l1.commitBaseline(c1);
             l2.commitBaseline(c2);
-            hier_.noteBaselineBatch(total.accesses, total.l1Misses,
-                                    total.l2Misses);
-            return total.accesses;
+            hier_.noteBaselineBatch(c1.accesses - start1.accesses,
+                                    c1.misses - start1.misses,
+                                    c2.misses - start2.misses);
+            return consumed;
         });
     maybeAudit();
     return done;

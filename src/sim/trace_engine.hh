@@ -198,14 +198,15 @@ class TraceEngine : public CacheListener
 
     /**
      * Audit both caches and the attached predictor (see
-     * Cache::auditInvariants). run() calls this automatically after
-     * every batch of work when auditing is enabled — debug builds,
-     * or LTC_AUDIT=1 in the environment (util/check.hh).
+     * Cache::auditInvariants). run() and runSchedule() call this
+     * automatically at the end of every call when auditing is enabled
+     * — debug builds, or LTC_AUDIT=1 in the environment
+     * (util/check.hh).
      */
     void auditInvariants() const;
 
   private:
-    /** The run()-boundary audit hook (no-op unless auditing is on). */
+    /** The per-call audit hook (no-op unless auditing is on). */
     void
     maybeAudit() const
     {
@@ -305,13 +306,11 @@ class TraceEngine : public CacheListener
      * cursor from its source, apply @p body to every reference, and
      * commit the quantum's Counters to the tenant's bucket.
      *
-     * @return The schedule's accesses and L1/L2 misses (what the
-     *         baseline body reconciles into the hierarchy); the other
-     *         fields stay zero.
+     * @return References consumed (short on trace ends).
      */
     template <typename Body>
-    Counters runQuanta(std::span<const ScheduleQuantum> schedule,
-                       bool select_tenants, Body &&body);
+    std::uint64_t runQuanta(std::span<const ScheduleQuantum> schedule,
+                            bool select_tenants, Body &&body);
 
     HierarchyConfig hierConfig_;
     CacheHierarchy hier_;
