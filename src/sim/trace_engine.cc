@@ -158,9 +158,7 @@ TraceEngine::issuePrefetch(const PrefetchRequest &req)
 
     // Under the dead-block-aware policy the prediction also feeds
     // replacement: mark the predicted victim dead so LRU prefers it.
-    // (Both the scalar and batched paths issue through here, so the
-    // equivalence suites cover the mark by construction.) In this
-    // engine mark and fill are atomic — predictions drain every
+    // In this engine mark and fill are atomic — predictions drain every
     // reference and LT-cords' (victim, replacement) pairs are
     // same-set by construction — so the directed fill consumes the
     // L1 mark immediately and L1 DeadBlock degenerates to LRU; the
