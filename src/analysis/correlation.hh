@@ -119,6 +119,7 @@ class CorrelationAnalysis : public CacheListener
 
     Cache l1d_;
     std::int64_t window_;
+    RefPuller puller_; //!< run() pull buffer
 
     // Current access context (step() fills, onEviction() consumes).
     Addr curPc_ = 0;

@@ -51,20 +51,8 @@ DeadTimeAnalysis::step(const MemRef &ref)
 std::uint64_t
 DeadTimeAnalysis::run(TraceSource &src, std::uint64_t refs)
 {
-    constexpr std::size_t batch_refs = 256;
-    std::vector<MemRef> batch(batch_refs);
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs - done, batch_refs));
-        const std::size_t got = src.fill({batch.data(), want});
-        for (std::size_t i = 0; i < got; i++)
-            step(batch[i]);
-        done += got;
-        if (got < want)
-            break;
-    }
-    return done;
+    return puller_.forEach(src, refs,
+                           [this](const MemRef &ref) { step(ref); });
 }
 
 double

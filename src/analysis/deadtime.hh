@@ -54,6 +54,7 @@ class DeadTimeAnalysis : public CacheListener
   private:
     Cache l1d_;
     double cyclesPerAccess_;
+    RefPuller puller_; //!< run() pull buffer
     double now_ = 0.0;
     std::unordered_map<Addr, double> lastTouch_;
     Log2Histogram hist_{40};

@@ -168,9 +168,24 @@ class CacheHierarchy
     HierOutcome access(Addr addr, MemOp op);
 
     /**
+     * Whether a predictor-less engine may run the trimmed
+     * Cache::accessBaseline body instead of access(): no perfect L1
+     * (the trimmed body always looks up the tags), no writeback
+     * modelling (it bypasses the eviction listeners that charge
+     * writebacks) and no prefetch fill in either cache (hand-injected
+     * fills leave prefetched/meta state on lines the body skips).
+     */
+    bool
+    baselineExact() const
+    {
+        return !config_.perfectL1 && !config_.modelWritebacks &&
+            l1d_.prefetchFills() == 0 && l2_.prefetchFills() == 0;
+    }
+
+    /**
      * Reconcile the hierarchy-level counters after a baseline batch
-     * (TraceEngine's predictor-less kernel drives the member caches
-     * through Cache::accessBaseline and reports the totals here).
+     * (the engines' predictor-less bodies drive the member caches
+     * through Cache::accessBaseline and report the totals here).
      */
     void
     noteBaselineBatch(std::uint64_t accesses, std::uint64_t l1_misses,

@@ -74,6 +74,16 @@ TimingSim::~TimingSim()
     hier_.l2().setListener(nullptr);
 }
 
+// ------------------------------------------- per-event hot path
+//
+// Eviction feedback, the miss and prefetch event chains, and the
+// per-reference bodies. run() is one pull loop with two bodies:
+// stepImpl, which step() also runs, and a trimmed body for
+// predictor-less runs.
+//
+// LTC_HOT_BEGIN: tools/ltc_lint.py bans hash maps, the modulo
+// operator and virtual declarations between these markers.
+
 void
 TimingSim::onEviction(Addr victim_addr, Addr incoming_addr,
                       std::uint32_t set, bool by_prefetch,
@@ -359,10 +369,8 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
             std::uint8_t meta = out.l1Meta;
             if (!(meta & LineMetaFetched))
                 meta = hier_.l2().takeMeta(block);
-            if ((meta & LineMetaFetched) && (meta & LineMetaOffChip)) {
-                running_.traffic.add(Traffic::BaseData,
-                                     config_.hier.l1d.lineBytes);
-            }
+            if ((meta & LineMetaFetched) && (meta & LineMetaOffChip))
+                cur.baseBytes += config_.hier.l1d.lineBytes;
             if (pred_)
                 bufferFeedback(ref.addr, false);
         }
@@ -370,13 +378,11 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
         cur.l1Misses++;
         if (out.level == HitLevel::Memory) {
             cur.l2Misses++;
-            running_.traffic.add(Traffic::BaseData,
-                                 config_.hier.l1d.lineBytes);
+            cur.baseBytes += config_.hier.l1d.lineBytes;
         } else if (out.l2HitOnPrefetch) {
             if ((out.l2Meta & LineMetaFetched) &&
                 (out.l2Meta & LineMetaOffChip)) {
-                running_.traffic.add(Traffic::BaseData,
-                                     config_.hier.l1d.lineBytes);
+                cur.baseBytes += config_.hier.l1d.lineBytes;
             }
             if (pred_)
                 bufferFeedback(ref.addr, false);
@@ -445,173 +451,92 @@ TimingSim::step(const MemRef &ref)
     commitPred(cur);
 }
 
-/**
- * How many references run() pulls per fill() call (matches the trace
- * engine's batch: large enough to amortize the virtual hop, small
- * enough to stay L1-resident).
- */
-constexpr std::size_t timingBatchRefs = 256;
-
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-          typename Policy>
-std::uint64_t
-TimingSim::runBaselineLoop(TraceSource &src, std::uint64_t refs)
-{
-    // See the declaration comment: step() with no predictor attached
-    // and no prefetch state in the hierarchy degenerates to the
-    // core/MSHR/bus event sequence below. Counters live in locals for
-    // the whole run (the caches' via BaselineCursor) and state is
-    // reconciled afterwards; the associativity template arguments let
-    // the compiler unroll the way scans for the common geometries.
-    Cache &l1 = hier_.l1d();
-    Cache &l2 = hier_.l2();
-    Cache::BaselineCursor c1 = l1.baselineCursor();
-    Cache::BaselineCursor c2 = l2.baselineCursor();
-    const Cycle l1_lat = config_.hier.l1d.latency;
-    std::uint64_t accesses = 0;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
-    Cycle miss_latency = 0;
-    Cycle last_load = lastLoadComplete_;
-
-    std::uint64_t done = 0;
-    while (done < refs) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs - done, timingBatchRefs));
-        const std::size_t got = src.fill({batch_.data(), want});
-        for (std::size_t i = 0; i < got; i++) {
-            const MemRef &ref = batch_[i];
-            core_.issueNonMem(ref.nonMemGap);
-            const Cycle issue = core_.beginMem();
-            Cycle ready = issue;
-            if (ref.dependsOnPrev)
-                ready = std::max(ready, last_load);
-
-            Cycle complete;
-            if (l1.accessBaseline<L1Assoc, Policy>(ref.addr, ref.op,
-                                                   c1)) {
-                complete = ready + l1_lat;
-            } else {
-                l1_misses++;
-                const bool l2_hit = l2.accessBaseline<L2Assoc, Policy>(
-                    ref.addr, ref.op, c2);
-                if (!l2_hit)
-                    l2_misses++;
-                const Addr block = l1.blockAlign(ref.addr);
-                if (auto merged = mshrs_.lookup(block)) {
-                    mshrs_.noteMerge();
-                    complete = std::max(*merged, ready + l1_lat);
-                } else {
-                    const Cycle alloc = mshrs_.allocReadyAt(ready);
-                    complete = missCompletion(
-                        block, l2_hit ? HitLevel::L2 : HitLevel::Memory,
-                        alloc);
-                    mshrs_.allocate(block, alloc, complete);
-                }
-                miss_latency += complete - ready;
-            }
-
-            core_.completeMem(complete);
-            if (ref.isLoad())
-                last_load = complete;
-            mshrs_.retire(complete);
-        }
-        accesses += got;
-        done += got;
-        if (got < want)
-            break; // end of trace
-    }
-
-    l1.commitBaseline(c1);
-    l2.commitBaseline(c2);
-    hier_.noteBaselineBatch(accesses, l1_misses, l2_misses);
-    lastLoadComplete_ = last_load;
-    running_.accesses += accesses;
-    running_.l1Misses += l1_misses;
-    running_.l2Misses += l2_misses;
-    running_.missLatencyTotal += miss_latency;
-    running_.traffic.add(Traffic::BaseData,
-                         l2_misses * config_.hier.l1d.lineBytes);
-    return done;
-}
-
-std::uint64_t
-TimingSim::runBaseline(TraceSource &src, std::uint64_t refs)
-{
-    // Dispatch once per run to a way-scan-unrolled, policy-inlined
-    // instantiation for the geometries the experiments actually
-    // sweep; anything else takes the runtime loop (same semantics).
-    return dispatchHierarchyKernel(
-        hier_.l1d().config(), hier_.l2().config(),
-        [&](auto a1, auto a2, auto pol) {
-            return runBaselineLoop<a1(), a2(), decltype(pol)>(src,
-                                                              refs);
-        });
-}
-
-template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-          typename Policy>
-std::uint64_t
-TimingSim::runPredictedLoop(TraceSource &src, std::uint64_t refs)
-{
-    // Same per-reference events as step() (shared stepImpl), but the
-    // cursor counters live in registers for the whole run and the way
-    // scans are unrolled for the static associativities.
-    PredCursor cur;
-    cur.lastLoad = lastLoadComplete_;
-    std::uint64_t done = 0;
-    while (done < refs) {
-        // Clamp the pull to the caller's budget: a multi-programmed
-        // quantum must not consume records its next quantum replays.
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(refs - done, timingBatchRefs));
-        const std::size_t got = src.fill({batch_.data(), want});
-        for (std::size_t i = 0; i < got; i++)
-            stepImpl<L1Assoc, L2Assoc, Policy>(batch_[i], cur);
-        done += got;
-        if (got < want)
-            break; // end of trace
-    }
-    commitPred(cur);
-    return done;
-}
-
-std::uint64_t
-TimingSim::runPredicted(TraceSource &src, std::uint64_t refs)
-{
-    return dispatchHierarchyKernel(
-        hier_.l1d().config(), hier_.l2().config(),
-        [&](auto a1, auto a2, auto pol) {
-            return runPredictedLoop<a1(), a2(), decltype(pol)>(src,
-                                                               refs);
-        });
-}
-
 std::uint64_t
 TimingSim::run(TraceSource &src, std::uint64_t refs)
 {
-    if (batch_.size() < timingBatchRefs)
-        batch_.resize(timingBatchRefs);
+    // Predictor-less runs take the trimmed baseline body; with no
+    // predictor the in-flight table and request queue are empty by
+    // construction, and the hierarchy vouches for the rest.
+    const bool baseline = pred_ == nullptr && hier_.baselineExact();
+    PredCursor cur;
+    cur.lastLoad = lastLoadComplete_;
+    const std::uint64_t done = dispatchHierarchyKernel(
+        hier_.l1d().config(), hier_.l2().config(),
+        [&](auto a1, auto a2, auto pol) {
+            constexpr std::uint32_t L1Assoc = decltype(a1)::value;
+            constexpr std::uint32_t L2Assoc = decltype(a2)::value;
+            using Policy = decltype(pol);
+            if (!baseline) {
+                return puller_.forEach(src, refs, [&](const MemRef &ref) {
+                    stepImpl<L1Assoc, L2Assoc, Policy>(ref, cur);
+                });
+            }
+            // Predictor-less, stepImpl degenerates to the core, MSHR,
+            // bus and DRAM events below. The caches' counters live in
+            // BaselineCursors for the whole run and the hierarchy's
+            // are reconciled from them afterwards.
+            Cache &l1 = hier_.l1d();
+            Cache &l2 = hier_.l2();
+            const Cache::BaselineCursor start1 = l1.baselineCursor();
+            const Cache::BaselineCursor start2 = l2.baselineCursor();
+            Cache::BaselineCursor c1 = start1;
+            Cache::BaselineCursor c2 = start2;
+            const Cycle l1_lat = config_.hier.l1d.latency;
+            const std::uint32_t line_bytes = config_.hier.l1d.lineBytes;
+            const std::uint64_t consumed = puller_.forEach(
+                src, refs, [&](const MemRef &ref) {
+                    core_.issueNonMem(ref.nonMemGap);
+                    Cycle ready = core_.beginMem();
+                    if (ref.dependsOnPrev)
+                        ready = std::max(ready, cur.lastLoad);
+                    cur.accesses++;
 
-    // Baseline runs take the trimmed kernel. The prefetchFills guard
-    // keeps it exact even if the caller injected prefetches by hand
-    // (then lines may carry prefetched/meta state the kernel skips);
-    // with no predictor the in-flight table and request queue are
-    // empty by construction. Writeback modelling needs the eviction
-    // listeners, which the trimmed kernel bypasses.
-    if (pred_ == nullptr && !config_.hier.perfectL1 &&
-        !config_.hier.modelWritebacks &&
-        hier_.l1d().prefetchFills() == 0 &&
-        hier_.l2().prefetchFills() == 0) {
-        const std::uint64_t done = runBaseline(src, refs);
-        maybeAudit();
-        return done;
-    }
+                    Cycle complete;
+                    if (l1.accessBaseline<L1Assoc, Policy>(ref.addr,
+                                                           ref.op, c1)) {
+                        complete = ready + l1_lat;
+                    } else {
+                        cur.l1Misses++;
+                        const bool l2_hit =
+                            l2.accessBaseline<L2Assoc, Policy>(
+                                ref.addr, ref.op, c2);
+                        if (!l2_hit) {
+                            cur.l2Misses++;
+                            cur.baseBytes += line_bytes;
+                        }
+                        const Addr block = l1.blockAlign(ref.addr);
+                        if (auto merged = mshrs_.lookup(block)) {
+                            mshrs_.noteMerge();
+                            complete = std::max(*merged, ready + l1_lat);
+                        } else {
+                            const Cycle alloc = mshrs_.allocReadyAt(ready);
+                            complete = missCompletion(
+                                block,
+                                l2_hit ? HitLevel::L2 : HitLevel::Memory,
+                                alloc);
+                            mshrs_.allocate(block, alloc, complete);
+                        }
+                        cur.missLatency += complete - ready;
+                    }
 
-    const std::uint64_t done = runPredicted(src, refs);
+                    core_.completeMem(complete);
+                    if (ref.isLoad())
+                        cur.lastLoad = complete;
+                    mshrs_.retire(complete);
+                });
+            l1.commitBaseline(c1);
+            l2.commitBaseline(c2);
+            hier_.noteBaselineBatch(c1.accesses - start1.accesses,
+                                    c1.misses - start1.misses,
+                                    c2.misses - start2.misses);
+            return consumed;
+        });
+    commitPred(cur);
     maybeAudit();
     return done;
 }
+
+// LTC_HOT_END
 
 void
 TimingSim::auditInvariants() const

@@ -118,8 +118,10 @@ class TimingSim : public CacheListener
 
     /**
      * Run up to @p refs references, pulled in batches through
-     * TraceSource::fill() into a reusable buffer (the batched kernel;
-     * see TraceEngine::run). Never pulls more than @p refs records.
+     * TraceSource::fill() by a RefPuller (see TraceEngine::run).
+     * Never pulls more than @p refs records.
+     *
+     * @return References actually consumed (short on a trace end).
      */
     std::uint64_t run(TraceSource &src, std::uint64_t refs);
 
@@ -161,32 +163,15 @@ class TimingSim : public CacheListener
     }
 
     /**
-     * Trimmed kernel for predictor-less runs: same event sequence as
-     * step() — core issue/retire, MSHR allocate/merge/retire, bus and
-     * DRAM transfers — but with the prefetch machinery (in-flight
-     * table, request queue, metadata bits) compiled out and the
-     * TimingStats counters register-resident for the whole run. The
-     * per-reference work is then the core rings, the packed-tag way
-     * scans and the (usually no-op) MSHR retire compare.
-     */
-    std::uint64_t runBaseline(TraceSource &src, std::uint64_t refs);
-    /**
-     * runBaseline's loop, specialized per cache associativity and
-     * replacement policy (dispatchHierarchyKernel; the same contract
-     * for runPredictedLoop/stepImpl below).
-     */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runBaselineLoop(TraceSource &src,
-                                  std::uint64_t refs);
-
-    /**
-     * Register-resident counter state for the predicted kernel (the
-     * treatment runBaselineLoop gives baseline runs): the TimingStats
-     * counters the per-reference path increments live in this POD for
-     * a whole run, so the inner loop carries no loop-carried
-     * dependences through the engine's memory. step() commits one
-     * immediately; runPredictedLoop() commits at run end.
+     * Register-resident counter state for run()'s two per-reference
+     * bodies: the TimingStats counters they increment live in this
+     * POD for a whole run, so the inner loop carries no loop-carried
+     * dependences through the engine's memory. They are disjoint from
+     * everything the eviction listeners and the prefetch path write
+     * into running_ (useless, dropped, writeback, incorrect-prefetch
+     * and sequence traffic), so folding them in once does not reorder
+     * any observable event. step() commits one immediately, run() at
+     * run end.
      */
     struct PredCursor
     {
@@ -195,6 +180,7 @@ class TimingSim : public CacheListener
         std::uint64_t l2Misses = 0;
         std::uint64_t correct = 0;
         std::uint64_t partial = 0;
+        std::uint64_t baseBytes = 0; //!< Traffic::BaseData
         Cycle missLatency = 0;
         Cycle lastLoad = 0;
     };
@@ -202,9 +188,13 @@ class TimingSim : public CacheListener
     /**
      * The full per-reference event sequence — shared verbatim by the
      * scalar step() (instantiated with runtime associativity and
-     * PolicyAuto) and the batched runPredictedLoop() (static
-     * associativity and policy), so the two paths cannot diverge; the
-     * timing-equivalence suite pins it.
+     * PolicyAuto) and run() (associativity and policy from
+     * dispatchHierarchyKernel), so the two paths cannot diverge; the
+     * timing-equivalence suite pins it. run() swaps in a trimmed body
+     * for predictor-less runs: the same core, MSHR, bus and DRAM
+     * events with the prefetch machinery (in-flight table, request
+     * queue, metadata bits) compiled out and the caches driven
+     * through Cache::accessBaseline.
      */
     template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
               typename Policy>
@@ -219,17 +209,10 @@ class TimingSim : public CacheListener
         running_.l2Misses += cur.l2Misses;
         running_.correct += cur.correct;
         running_.partial += cur.partial;
+        running_.traffic.add(Traffic::BaseData, cur.baseBytes);
         running_.missLatencyTotal += cur.missLatency;
         lastLoadComplete_ = cur.lastLoad;
     }
-
-    /** Batched predictor-run kernel (see PredCursor). */
-    std::uint64_t runPredicted(TraceSource &src, std::uint64_t refs);
-    /** runPredicted's loop, specialized per assoc and policy. */
-    template <std::uint32_t L1Assoc, std::uint32_t L2Assoc,
-              typename Policy>
-    std::uint64_t runPredictedLoop(TraceSource &src,
-                                   std::uint64_t refs);
 
     /** Queue one feedback event for the next flushFeedback(). */
     void
@@ -340,7 +323,7 @@ class TimingSim : public CacheListener
      * cache lines themselves (LineMeta* bits, cache/cache.hh); the
      * engine keeps only reusable buffers.
      */
-    std::vector<MemRef> batch_;           //!< run() pull buffer
+    RefPuller puller_;                    //!< run() pull buffer
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
     std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
 

@@ -8,16 +8,6 @@ namespace ltc
 {
 
 /**
- * How many references the pull loop asks for per fill() call (at
- * most; refills are capped at the quantum's remainder). Large enough to
- * amortize the per-batch virtual hop to nothing, small enough that
- * the buffer stays L1-resident (256 records = 6KB): the batch is
- * written by the generator and immediately re-read by the engine, so
- * spilling it to L2 costs more than the dispatch it saves.
- */
-constexpr std::size_t engineBatchRefs = 256;
-
-/**
  * L2 eviction listener: when a block prefetched into L2 (GHB/stride
  * style) dies unused, classify its off-chip transfer as incorrect-
  * prediction traffic and tell the predictor.
@@ -311,64 +301,31 @@ TraceEngine::step(const MemRef &ref)
 
 template <typename Body>
 std::uint64_t
-TraceEngine::runQuanta(std::span<const ScheduleQuantum> schedule,
+TraceEngine::runQuanta(std::span<const TenantSlot> tenants,
+                       std::span<const ScheduleQuantum> schedule,
                        bool select_tenants, Body &&body)
 {
     std::uint64_t done = 0;
     for (const ScheduleQuantum &q : schedule) {
-        MultiTenantCursor &t = cursors_[q.tenant];
+        const TenantSlot &t = tenants[q.tenant];
         current_ = t.bucket;
         if (select_tenants && pred_)
             pred_->selectTenant(q.tenant);
-        // All tenants share the one hot pull buffer: each refill is
-        // capped at the quantum's remaining refs, so the buffer
-        // drains before the next tenant touches it (per-tenant
-        // read-ahead slices would go cold between a tenant's quanta
-        // and double the memory traffic per record).
-        MemRef *buf = batch_.data();
         Counters c;
-        std::uint64_t remaining = q.refs;
-        while (remaining) {
-            if (t.pos == t.fill) {
-                const std::size_t want =
-                    std::min<std::uint64_t>(engineBatchRefs,
-                                            remaining);
-                const std::size_t got = t.src->fill({buf, want});
-                t.pos = 0;
-                t.fill = static_cast<std::uint32_t>(got);
-                if (got == 0)
-                    break; // end of this tenant's trace
-            }
-            const std::uint32_t chunk = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(remaining, t.fill - t.pos));
-            const std::uint32_t end = t.pos + chunk;
-            for (std::uint32_t i = t.pos; i < end; i++)
-                body(buf[i], c);
-            t.pos = end;
-            remaining -= chunk;
-        }
+        done += puller_.forEach(*t.src, q.refs, [&](const MemRef &ref) {
+            body(ref, c);
+        });
         commit(c, buckets_[t.bucket]);
-        done += c.accesses;
     }
     return done;
 }
 
 std::uint64_t
-TraceEngine::runCursors(std::span<const ScheduleQuantum> schedule,
+TraceEngine::runTenants(std::span<const TenantSlot> tenants,
+                        std::span<const ScheduleQuantum> schedule,
                         bool select_tenants)
 {
-    if (batch_.size() < engineBatchRefs)
-        batch_.resize(engineBatchRefs);
-
-    // The trimmed baseline body only when no prefetch state can exist
-    // (no predictor, no hand-injected fills whose lines carry
-    // prefetched/meta state the body skips, no perfect L1) and
-    // writebacks are unmodeled (the body bypasses the eviction
-    // listeners that charge them); stepImpl otherwise.
-    const bool baseline = pred_ == nullptr && !hierConfig_.perfectL1 &&
-        !hierConfig_.modelWritebacks &&
-        hier_.l1d().prefetchFills() == 0 &&
-        hier_.l2().prefetchFills() == 0;
+    const bool baseline = pred_ == nullptr && hier_.baselineExact();
 
     const std::uint64_t done = dispatchHierarchyKernel(
         hier_.l1d().config(), hier_.l2().config(),
@@ -377,7 +334,7 @@ TraceEngine::runCursors(std::span<const ScheduleQuantum> schedule,
             constexpr std::uint32_t L2Assoc = decltype(a2)::value;
             using Policy = decltype(pol);
             if (!baseline) {
-                return runQuanta(schedule, select_tenants,
+                return runQuanta(tenants, schedule, select_tenants,
                                  [this](const MemRef &ref, Counters &c) {
                                      stepImpl<L1Assoc, L2Assoc, Policy>(
                                          ref, c);
@@ -396,7 +353,7 @@ TraceEngine::runCursors(std::span<const ScheduleQuantum> schedule,
             Cache::BaselineCursor c2 = start2;
             const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
             const std::uint64_t consumed = runQuanta(
-                schedule, select_tenants,
+                tenants, schedule, select_tenants,
                 [&](const MemRef &ref, Counters &c) {
                     c.accesses++;
                     c.instructions += 1 + ref.nonMemGap;
@@ -437,22 +394,15 @@ TraceEngine::runSchedule(std::span<TenantSlot> tenants,
         ltc_assert(q.tenant < tenants.size(), "quantum names tenant ",
                    q.tenant, " of ", tenants.size());
 
-    cursors_.assign(tenants.size(), MultiTenantCursor{});
-    for (std::size_t t = 0; t < tenants.size(); t++) {
-        cursors_[t].src = tenants[t].src;
-        cursors_[t].bucket = tenants[t].bucket;
-    }
-    return runCursors(schedule, /*select_tenants=*/true);
+    return runTenants(tenants, schedule, /*select_tenants=*/true);
 }
 
 std::uint64_t
 TraceEngine::run(TraceSource &src, std::uint64_t refs)
 {
-    cursors_.assign(1, MultiTenantCursor{});
-    cursors_[0].src = &src;
-    cursors_[0].bucket = current_;
+    const TenantSlot self{&src, current_};
     const ScheduleQuantum whole{0, refs};
-    return runCursors({&whole, 1}, /*select_tenants=*/false);
+    return runTenants({&self, 1}, {&whole, 1}, /*select_tenants=*/false);
 }
 
 void

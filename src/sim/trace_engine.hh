@@ -167,7 +167,7 @@ class TraceEngine : public CacheListener
      * associativity dispatch and the baseline cursors are hoisted
      * outside the quantum loop: one dispatch and one cursor commit
      * per schedule instead of one per quantum. All tenants pull
-     * through the one shared batch buffer — each refill is capped at
+     * through the one RefPuller buffer — each refill is capped at
      * the quantum's remaining references, so the buffer drains within
      * the quantum and stays hot in the host cache across tenant
      * switches (a per-tenant read-ahead slice would go cold between a
@@ -278,38 +278,26 @@ class TraceEngine : public CacheListener
     void stepImpl(const MemRef &ref, Counters &c);
 
     /**
-     * Per-tenant pull state. pos/fill index the shared batch_ buffer
-     * within a quantum; refills are capped at the quantum's remaining
-     * references, so they are always equal (buffer drained) at
-     * quantum boundaries. Rebuilt per run()/runSchedule() call.
-     */
-    struct MultiTenantCursor
-    {
-        TraceSource *src = nullptr;
-        std::uint32_t bucket = 0;
-        std::uint32_t pos = 0;  //!< next unconsumed record
-        std::uint32_t fill = 0; //!< valid records in the buffer
-    };
-
-    /**
-     * Run @p schedule over cursors_, the shared back end of run() and
-     * runSchedule(). Picks the per-reference body once per call: the
-     * trimmed Cache::accessBaseline body when no prefetch state can
-     * exist, stepImpl otherwise. @p select_tenants routes each
+     * Run @p schedule over @p tenants, the shared back end of run()
+     * and runSchedule(). Picks the per-reference body once per call:
+     * the trimmed Cache::accessBaseline body when no prefetch state
+     * can exist, stepImpl otherwise. @p select_tenants routes each
      * quantum to its tenant's predictor partition (runSchedule only).
      */
-    std::uint64_t runCursors(std::span<const ScheduleQuantum> schedule,
+    std::uint64_t runTenants(std::span<const TenantSlot> tenants,
+                             std::span<const ScheduleQuantum> schedule,
                              bool select_tenants);
 
     /**
-     * The one pull loop: for each quantum, refill the tenant's
-     * cursor from its source, apply @p body to every reference, and
-     * commit the quantum's Counters to the tenant's bucket.
+     * The quantum loop: for each quantum, pull the tenant's
+     * references through puller_, apply @p body to each, and commit
+     * the quantum's Counters to the tenant's bucket.
      *
      * @return References consumed (short on trace ends).
      */
     template <typename Body>
-    std::uint64_t runQuanta(std::span<const ScheduleQuantum> schedule,
+    std::uint64_t runQuanta(std::span<const TenantSlot> tenants,
+                            std::span<const ScheduleQuantum> schedule,
                             bool select_tenants, Body &&body);
 
     HierarchyConfig hierConfig_;
@@ -325,10 +313,7 @@ class TraceEngine : public CacheListener
      * map (Cache::markEvicted) — see cache/cache.hh. The engine only
      * keeps reusable buffers.
      */
-    /** Pull buffer shared by every tenant. */
-    std::vector<MemRef> batch_;
-    /** Tenant cursors (rebuilt per run()/runSchedule() call). */
-    std::vector<MultiTenantCursor> cursors_;
+    RefPuller puller_; //!< pull buffer shared by every tenant
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
     std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
     /** Listener adapter for L2 (classifies GHB-style L2 prefetches). */

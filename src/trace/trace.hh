@@ -13,6 +13,8 @@
 #ifndef LTC_TRACE_TRACE_HH
 #define LTC_TRACE_TRACE_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -74,6 +76,61 @@ class TraceSource
     /** Short identifier used in stats and tables. */
     virtual std::string name() const = 0;
 };
+
+// LTC_HOT_BEGIN: tools/ltc_lint.py bans hash maps, the modulo
+// operator and virtual declarations between these markers.
+
+/**
+ * The batched pull loop every reference consumer shares: the engines'
+ * run()/runSchedule() quanta and the analyses' run().
+ *
+ * The buffer is allocated once, with the puller, so the loop inlines
+ * into its caller's kernel with no per-call frame or zero-fill.
+ */
+class RefPuller
+{
+  public:
+    /**
+     * Records per fill() request: large enough to amortize the virtual
+     * hop to nothing, small enough that the buffer (256 x 32 B = 8 KB)
+     * stays L1-resident — the generator writes the batch and the
+     * consumer immediately re-reads it.
+     */
+    static constexpr std::size_t batchRefs = 256;
+
+    /**
+     * Apply @p body to each of up to @p refs records of @p src, in
+     * stream order. Never requests more than @p refs records in total
+     * (a multi-programmed quantum must not consume records its
+     * tenant's next quantum replays); a short fill() is the end of
+     * the trace and ends the loop.
+     *
+     * @return Records delivered (short on a trace end).
+     */
+    template <typename Body>
+    std::uint64_t
+    forEach(TraceSource &src, std::uint64_t refs, Body &&body)
+    {
+        MemRef *const buf = buf_.data();
+        std::uint64_t done = 0;
+        while (done < refs) {
+            const std::size_t want = static_cast<std::size_t>(
+                std::min<std::uint64_t>(refs - done, batchRefs));
+            const std::size_t got = src.fill({buf, want});
+            for (std::size_t i = 0; i < got; i++)
+                body(buf[i]);
+            done += got;
+            if (got < want)
+                break;
+        }
+        return done;
+    }
+
+  private:
+    std::vector<MemRef> buf_ = std::vector<MemRef>(batchRefs);
+};
+
+// LTC_HOT_END
 
 /** Replay of an in-memory vector of references. */
 class VectorTrace final : public TraceSource

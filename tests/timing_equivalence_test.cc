@@ -428,6 +428,44 @@ TEST(TimingEquivalence, WritebackTrafficNonzeroOnlyWhenEnabled)
     EXPECT_EQ(sim_off.stats().traffic.bytes(Traffic::Writeback), 0u);
 }
 
+/**
+ * A finite trace that ends inside the budget (after a short fill, and
+ * exactly at a batch boundary): run() returns the trace length, a
+ * second run() on the drained source consumes nothing and changes no
+ * stat, and the result equals a step() loop over the same records.
+ * The trace engine's counterpart is
+ * MultiProgEquivalence.TenantTraceEndsMidQuantum.
+ */
+TEST(TimingEquivalence, TraceEndsInsideBudget)
+{
+    const std::vector<MemRef> stream = collect(*makeWorkload("mcf"), 512);
+    ASSERT_EQ(stream.size(), 512u);
+    for (const std::size_t len : {300u, 512u}) {
+        const std::vector<MemRef> refs(stream.begin(),
+                                       stream.begin() + len);
+        for (const char *pred_name : {"none", "lt-cords"}) {
+            SCOPED_TRACE(std::string(pred_name) + "/" +
+                         std::to_string(len));
+            auto pred_batch = makePredictor(pred_name, paperHierarchy(),
+                                            /*model_stream_latency=*/true);
+            TimingSim batched(paperTiming(), pred_batch.get());
+            VectorTrace src(refs);
+            EXPECT_EQ(batched.run(src, 1'000), len);
+            const TimingStats first = batched.stats();
+            EXPECT_EQ(batched.run(src, 1'000), 0u);
+            expectSameTiming(batched.stats(), first);
+
+            auto pred_scalar = makePredictor(pred_name, paperHierarchy(),
+                                             /*model_stream_latency=*/true);
+            TimingSim scalar(paperTiming(), pred_scalar.get());
+            for (const MemRef &r : refs)
+                scalar.step(r);
+            expectSameTiming(batched.stats(), scalar.stats());
+            expectSameMachineState(batched, scalar);
+        }
+    }
+}
+
 /** run() must never pull more records than its budget. */
 TEST(TimingEquivalence, RunNeverOverdraws)
 {

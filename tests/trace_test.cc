@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for the trace infrastructure: sources, adapters, file
- * round trip.
+ * Unit tests for the trace infrastructure: sources, adapters, the
+ * shared pull loop, file round trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "trace/file_trace.hh"
 #include "trace/trace.hh"
@@ -120,6 +123,100 @@ TEST(CollectTest, GathersUpToLimit)
     t.reset();
     collected = collect(t, 100);
     EXPECT_EQ(collected.size(), 10u);
+}
+
+/** A finite source that records the size of every fill() request. */
+class RecordingSource final : public TraceSource
+{
+  public:
+    explicit RecordingSource(std::size_t records)
+        : refs(sampleRefs(records)), inner_(refs)
+    {
+    }
+
+    bool next(MemRef &out) override { return inner_.next(out); }
+
+    std::size_t
+    fill(std::span<MemRef> out) override
+    {
+        requests.push_back(out.size());
+        return inner_.fill(out);
+    }
+
+    void reset() override { inner_.reset(); }
+    std::string name() const override { return "recording"; }
+
+    const std::vector<MemRef> refs;    //!< the stream, in order
+    std::vector<std::size_t> requests; //!< every fill() request size
+
+  private:
+    VectorTrace inner_;
+};
+
+/** Run @p refs through a fresh puller; return what the body saw. */
+std::vector<MemRef>
+pullAll(RecordingSource &src, std::uint64_t refs, std::uint64_t &done)
+{
+    RefPuller puller;
+    std::vector<MemRef> seen;
+    done = puller.forEach(src, refs,
+                          [&seen](const MemRef &r) { seen.push_back(r); });
+    return seen;
+}
+
+TEST(RefPullerTest, NeverRequestsPastBatchOrBudget)
+{
+    for (const std::uint64_t budget : {1u, 255u, 256u, 257u, 777u}) {
+        SCOPED_TRACE(budget);
+        RecordingSource src(1000);
+        std::uint64_t done = 0;
+        pullAll(src, budget, done);
+        EXPECT_EQ(done, budget);
+        std::uint64_t requested = 0;
+        for (const std::size_t want : src.requests) {
+            EXPECT_LE(want, RefPuller::batchRefs);
+            EXPECT_LE(want, budget - requested);
+            requested += want;
+        }
+        EXPECT_EQ(requested, budget);
+    }
+}
+
+TEST(RefPullerTest, ZeroBudgetMakesNoFill)
+{
+    RecordingSource src(10);
+    std::uint64_t done = 1;
+    EXPECT_TRUE(pullAll(src, 0, done).empty());
+    EXPECT_EQ(done, 0u);
+    EXPECT_TRUE(src.requests.empty());
+}
+
+TEST(RefPullerTest, ShortFillEndsTheTrace)
+{
+    // 300 records under a 1000-record budget: one full batch, then a
+    // short fill (44 of 256), and no further request.
+    RecordingSource src(300);
+    std::uint64_t done = 0;
+    const auto seen = pullAll(src, 1000, done);
+    EXPECT_EQ(done, 300u);
+    EXPECT_EQ(seen.size(), 300u);
+    EXPECT_EQ(src.requests,
+              (std::vector<std::size_t>{RefPuller::batchRefs,
+                                        RefPuller::batchRefs}));
+}
+
+TEST(RefPullerTest, DeliversTheWholeStreamInOrder)
+{
+    // 512 records are exactly two full batches; the third request
+    // comes back empty and ends the loop.
+    RecordingSource src(512);
+    std::uint64_t done = 0;
+    const auto seen = pullAll(src, 1000, done);
+    EXPECT_EQ(done, 512u);
+    ASSERT_EQ(seen.size(), src.refs.size());
+    for (std::size_t i = 0; i < seen.size(); i++)
+        EXPECT_TRUE(seen[i] == src.refs[i]) << "record " << i;
+    EXPECT_EQ(src.requests.size(), 3u);
 }
 
 TEST(FileTraceTest, RoundTrip)
