@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -38,6 +40,7 @@
 #include "trace/primitives.hh"
 #include "trace/trace_io.hh"
 #include "trace/workloads.hh"
+#include "util/random.hh"
 
 namespace ltc
 {
@@ -365,6 +368,233 @@ const PolicyGolden kPolicyGolden[] = {
     {ReplPolicy::DRRIP, 23406, 4096},
     {ReplPolicy::SHiP, 23406, 4096},
     {ReplPolicy::DeadBlock, 23406, 4096},
+};
+
+/**
+ * Test-only predictor that mixes both request kinds over overlapping
+ * blocks: on each reference it may ask for an L1-directed prefetch
+ * and an L2-only prefetch, each of a block drawn from the 16 lines
+ * after the referenced one by a seeded RNG, and half the L1 requests
+ * made on an evicting miss name the access's own L1 victim as the
+ * predicted victim. No production predictor issues both kinds, so
+ * only runs like these reach the cross-level classification cases:
+ * an L2 victim whose entry sits on its L1 copy, an L1 victim or L1
+ * prefetch hit whose entry sits on its L2 copy, and a dirty L1 victim
+ * landing on an untouched prefetched L2 line.
+ */
+class MixedPrefetcher : public Prefetcher
+{
+  public:
+    MixedPrefetcher(std::uint64_t seed, std::uint32_t line_bytes)
+        : rng_(seed), lineBytes_(line_bytes)
+    {
+    }
+
+    void
+    observe(const MemRef &ref, const HierOutcome &out) override
+    {
+        const Addr block = ref.addr & ~static_cast<Addr>(lineBytes_ - 1);
+        if (rng_.below(6) == 0) {
+            PrefetchRequest req;
+            req.target = block + (1 + rng_.below(16)) * lineBytes_;
+            req.intoL1 = true;
+            if (out.l1Evicted && rng_.below(2) == 0)
+                req.predictedVictim = out.l1VictimAddr;
+            enqueue(req);
+        }
+        if (rng_.below(6) == 0) {
+            PrefetchRequest req;
+            req.target = block + (1 + rng_.below(16)) * lineBytes_;
+            enqueue(req);
+        }
+    }
+
+    std::string name() const override { return "mixed"; }
+
+  private:
+    Rng rng_;
+    std::uint32_t lineBytes_;
+};
+
+/** Every CoverageStats counter, in mixedTraceFields() order. */
+constexpr std::size_t kMixedTraceFields =
+    8 + static_cast<std::size_t>(Traffic::NumClasses);
+/** Every integral TimingStats counter, in mixedTimingFields() order. */
+constexpr std::size_t kMixedTimingFields =
+    16 + static_cast<std::size_t>(Traffic::NumClasses);
+
+std::array<std::uint64_t, kMixedTraceFields>
+mixedTraceFields(const CoverageStats &s)
+{
+    std::array<std::uint64_t, kMixedTraceFields> f = {
+        s.opportunity, s.accesses, s.instructions,      s.l1Misses,
+        s.l2Misses,    s.correct,  s.uselessPrefetches, s.early,
+    };
+    for (unsigned t = 0; t < static_cast<unsigned>(Traffic::NumClasses);
+         t++)
+        f[8 + t] = s.traffic.bytes(static_cast<Traffic>(t));
+    return f;
+}
+
+std::array<std::uint64_t, kMixedTimingFields>
+mixedTimingFields(const TimingStats &s)
+{
+    std::array<std::uint64_t, kMixedTimingFields> f = {
+        s.cycles,        s.instructions, s.accesses,   s.l1Misses,
+        s.l2Misses,      s.correct,      s.partial,    s.useless,
+        s.dropped,       s.memBusBusy,   s.l1l2BusBusy, s.l1l2ReqQueue,
+        s.l1l2DataQueue, s.memReqQueue,  s.memDataQueue,
+        s.missLatencyTotal,
+    };
+    for (unsigned t = 0; t < static_cast<unsigned>(Traffic::NumClasses);
+         t++)
+        f[16 + t] = s.traffic.bytes(static_cast<Traffic>(t));
+    return f;
+}
+
+/**
+ * Mixed-request expectations (exact): MixedPrefetcher (seed 7) for
+ * 300k references through both engines, under writeback modelling
+ * off/on and LRU/DeadBlock (both levels). mcf and em3d issue loads
+ * only, so their writeback rows repeat the off rows; gcc stores, so
+ * its rows pin dirty victims meeting prefetched lines. The smallL2
+ * rows shrink L2 to 128 KiB, 4-way: as many sets as L1D, so an
+ * access's L2 step often evicts the L2 copy of its own L1 victim, and
+ * the order of the two levels' writeback handling shows in the
+ * Writeback bytes.
+ *
+ * Pins every CoverageStats counter (mixedTraceFields order:
+ * opportunity, accesses, instructions, L1/L2 misses, correct,
+ * useless, early, then the bytes of each traffic class) and every
+ * TimingStats counter (mixedTimingFields order: cycles,
+ * instructions, accesses, L1/L2 misses, correct, partial, useless,
+ * dropped, memory and L1/L2 bus busy cycles, the four channel queue
+ * totals, miss latency, then the traffic classes) plus the IPC.
+ */
+struct MixedGolden
+{
+    const char *workload;
+    bool writebacks;
+    ReplPolicy policy;
+    bool smallL2; //!< 128 KiB 4-way L2 instead of Table 1's
+    std::array<std::uint64_t, kMixedTraceFields> trace;
+    std::array<std::uint64_t, kMixedTimingFields> timing;
+    double ipc;
+};
+
+const MixedGolden kMixedGolden[] = {
+    {"mcf", false, ReplPolicy::LRU, false,
+     {171429, 300000, 900000, 171086, 162689, 343, 83925, 9427, 10708224,
+      4881344, 0, 0, 0},
+     {12143509, 900000, 300000, 171086, 162689, 343, 13, 48458, 0, 2970240,
+      922621, 496831347, 2761731, 1239258, 3810071, 448564746, 10709568,
+      2695936, 0, 0, 0},
+     0.074113668462715346},
+    {"mcf", false, ReplPolicy::DeadBlock, false,
+     {171429, 300000, 900000, 171086, 162524, 343, 83613, 9427, 10710016,
+      4857472, 0, 0, 0},
+     {12142029, 900000, 300000, 171086, 162523, 343, 13, 48459, 0, 2968056,
+      922630, 496791567, 2800323, 1237228, 3804626, 448509956, 10711360,
+      2694528, 0, 0, 0},
+     0.074122702227115422},
+    {"mcf", true, ReplPolicy::LRU, false,
+     {171429, 300000, 900000, 171086, 162689, 343, 83925, 9427, 10708224,
+      4881344, 0, 0, 0},
+     {12143509, 900000, 300000, 171086, 162689, 343, 13, 48458, 0, 2970240,
+      922621, 496831347, 2761731, 1239258, 3810071, 448564746, 10709568,
+      2695936, 0, 0, 0},
+     0.074113668462715346},
+    {"mcf", true, ReplPolicy::DeadBlock, false,
+     {171429, 300000, 900000, 171086, 162524, 343, 83613, 9427, 10710016,
+      4857472, 0, 0, 0},
+     {12142029, 900000, 300000, 171086, 162523, 343, 13, 48459, 0, 2968056,
+      922630, 496791567, 2800323, 1237228, 3804626, 448509956, 10711360,
+      2694528, 0, 0, 0},
+     0.074122702227115422},
+    {"em3d", false, ReplPolicy::LRU, false,
+     {259689, 300000, 900000, 257649, 194550, 10310, 58019, 16567, 12651968,
+      3435904, 0, 0, 0},
+     {38221860, 900000, 300000, 257654, 194550, 10305, 10152, 33038, 0,
+      3042792, 1233943, 1057504841, 15482510, 237097, 736274, 1044148384,
+      12652224, 1864640, 0, 0, 0},
+     0.023546734774288848},
+    {"em3d", false, ReplPolicy::DeadBlock, false,
+     {259689, 300000, 900000, 257649, 195456, 10310, 57781, 16567, 12746112,
+      3419840, 0, 0, 0},
+     {38219059, 900000, 300000, 257670, 195459, 10285, 10144, 33032, 0,
+      3058908, 1234132, 1057761098, 15199106, 241147, 748175, 1044173419,
+      12747520, 1864320, 0, 0, 0},
+     0.023548460468375217},
+    {"em3d", true, ReplPolicy::LRU, false,
+     {259689, 300000, 900000, 257649, 194550, 10310, 58019, 16567, 12651968,
+      3435904, 0, 0, 0},
+     {38221860, 900000, 300000, 257654, 194550, 10305, 10152, 33038, 0,
+      3042792, 1233943, 1057504841, 15482510, 237097, 736274, 1044148384,
+      12652224, 1864640, 0, 0, 0},
+     0.023546734774288848},
+    {"em3d", true, ReplPolicy::DeadBlock, false,
+     {259689, 300000, 900000, 257649, 195456, 10310, 57781, 16567, 12746112,
+      3419840, 0, 0, 0},
+     {38219059, 900000, 300000, 257670, 195459, 10285, 10144, 33032, 0,
+      3058908, 1234132, 1057761098, 15199106, 241147, 748175, 1044173419,
+      12747520, 1864320, 0, 0, 0},
+     0.023548460468375217},
+    {"gcc", false, ReplPolicy::LRU, false,
+     {155845, 300000, 1800000, 141042, 21569, 15988, 28752, 25866, 1673536,
+      249984, 0, 0, 0},
+     {1421495, 1800000, 300000, 141230, 21560, 15806, 5644, 28099, 0, 389076,
+      746519, 50296168, 27463692, 24909, 299010, 29061468, 1687936, 220864, 0,
+      0, 0},
+     1.2662724807333126},
+    {"gcc", false, ReplPolicy::DeadBlock, false,
+     {155845, 300000, 1800000, 141042, 20943, 15988, 28692, 25866, 1633152,
+      254528, 0, 0, 0},
+     {1407623, 1800000, 300000, 141237, 20933, 15802, 5650, 28082, 0, 382932,
+      746505, 50311668, 27234392, 24652, 297677, 28803845, 1646208, 230336, 0,
+      0, 0},
+     1.2787514838845344},
+    {"gcc", true, ReplPolicy::LRU, false,
+     {155845, 300000, 1800000, 141042, 21569, 15988, 28752, 25866, 1673536,
+      249984, 0, 0, 173568},
+     {1431325, 1800000, 300000, 141230, 21560, 15806, 5645, 28099, 0, 413484,
+      772406, 50317179, 30962453, 24643, 1331730, 29264137, 1687936, 220864, 0,
+      0, 173568},
+     1.2575760222171763},
+    {"gcc", true, ReplPolicy::DeadBlock, false,
+     {155845, 300000, 1800000, 141042, 20943, 15988, 28692, 25866, 1633152,
+      254528, 0, 0, 176064},
+     {1418057, 1800000, 300000, 141237, 20933, 15802, 5652, 28082, 0, 407799,
+      772422, 50334268, 30750990, 24403, 1412905, 29018415, 1646208, 230336, 0,
+      0, 176832},
+     1.2693424876433035},
+    {"gcc", false, ReplPolicy::LRU, true,
+     {155845, 300000, 1800000, 141042, 120610, 15988, 53472, 25866, 9450304,
+      3024896, 0, 0, 0},
+     {1881990, 1800000, 300000, 142173, 120633, 14856, 5177, 27976, 0, 2382816,
+      779486, 83402719, 6155069, 336304, 6763559, 38725472, 9542080, 1603008,
+      0, 0, 0},
+     0.95643441251016215},
+    {"gcc", false, ReplPolicy::DeadBlock, true,
+     {155845, 300000, 1800000, 141042, 120562, 15988, 53446, 25866, 9449088,
+      3022784, 0, 0, 0},
+     {1881690, 1800000, 300000, 142173, 120580, 14856, 5177, 27975, 0, 2382252,
+      779473, 83392728, 6162781, 336240, 6754218, 38719347, 9540800, 1603712,
+      0, 0, 0},
+     0.95658689794812113},
+    {"gcc", true, ReplPolicy::LRU, true,
+     {155845, 300000, 1800000, 141042, 120610, 15988, 53472, 25866, 9450304,
+      3024896, 0, 0, 523712},
+     {1934854, 1800000, 300000, 142173, 120633, 14856, 5177, 27976, 0, 2456679,
+      805379, 83396984, 10203277, 336639, 12846864, 39816868, 9542080, 1603008,
+      0, 0, 525248},
+     0.93030275152543807},
+    {"gcc", true, ReplPolicy::DeadBlock, true,
+     {155845, 300000, 1800000, 141042, 120562, 15988, 53446, 25866, 9449088,
+      3022784, 0, 0, 521280},
+     {1934261, 1800000, 300000, 142172, 120580, 14857, 5178, 27975, 0, 2455836,
+      805366, 83388516, 10210274, 336458, 12819936, 39804044, 9540736, 1603712,
+      0, 0, 523264},
+     0.93058796098354879},
 };
 
 /** Store-heavy scan whose footprint (2 MB) overflows the 1 MB L2. */
@@ -732,6 +962,80 @@ TEST(AblationPolicyGolden, BaselineMissCountsMatchExactly)
         }
         EXPECT_EQ(s.l1Misses, g.l1Misses);
         EXPECT_EQ(s.l2Misses, g.l2Misses);
+    }
+}
+
+/** Print @p f as a braced initializer wrapped within 79 columns. */
+template <std::size_t N>
+void
+printFields(const std::array<std::uint64_t, N> &f)
+{
+    std::string line = "     {";
+    for (std::size_t i = 0; i < N; i++) {
+        const std::string item = std::to_string(f[i]) +
+            (i + 1 < N ? "," : "},");
+        if (line.size() + 1 + item.size() > 79) {
+            std::printf("%s\n", line.c_str());
+            line = "      " + item;
+        } else {
+            line += (line.back() == '{' ? "" : " ") + item;
+        }
+    }
+    std::printf("%s\n", line.c_str());
+}
+
+TEST(GoldenMixedPrefetch, BothEnginesMatchExactly)
+{
+    constexpr std::uint64_t refs = 300'000;
+    for (const MixedGolden &g : kMixedGolden) {
+        SCOPED_TRACE(std::string(g.workload) +
+                     (g.writebacks ? ", writebacks" : "") + ", " +
+                     replPolicyName(g.policy) +
+                     (g.smallL2 ? ", small L2" : ""));
+        HierarchyConfig hc = paperHierarchy();
+        hc.modelWritebacks = g.writebacks;
+        hc.l1d.policy = g.policy;
+        hc.l2.policy = g.policy;
+        if (g.smallL2) {
+            hc.l2.sizeBytes = 128 * 1024;
+            hc.l2.assoc = 4;
+        }
+
+        auto src_t = makeWorkload(g.workload);
+        MixedPrefetcher pred_t(7, hc.l1d.lineBytes);
+        const CoverageStats ts =
+            runWithOpportunity(hc, &pred_t, *src_t, refs);
+
+        TimingConfig tc = paperTiming();
+        tc.hier = hc;
+        auto src_c = makeWorkload(g.workload);
+        MixedPrefetcher pred_c(7, hc.l1d.lineBytes);
+        TimingSim sim(tc, &pred_c);
+        sim.run(*src_c, refs);
+        const TimingStats cs = sim.stats();
+
+        const auto trace = mixedTraceFields(ts);
+        const auto timing = mixedTimingFields(cs);
+        if (printMode()) {
+            std::printf("    {\"%s\", %s, ReplPolicy::%s, %s,\n",
+                        g.workload, g.writebacks ? "true" : "false",
+                        replPolicyName(g.policy),
+                        g.smallL2 ? "true" : "false");
+            printFields(trace);
+            printFields(timing);
+            std::printf("     %.17g},\n", cs.ipc);
+            continue;
+        }
+        // Both engines actually mixed the request kinds.
+        EXPECT_GT(ts.uselessPrefetches, 0u);
+        EXPECT_GT(ts.correct, 0u);
+        EXPECT_GT(ts.traffic.bytes(Traffic::IncorrectPrefetch), 0u);
+        EXPECT_GT(cs.useless, 0u);
+        for (std::size_t i = 0; i < trace.size(); i++)
+            EXPECT_EQ(trace[i], g.trace[i]) << "trace field " << i;
+        for (std::size_t i = 0; i < timing.size(); i++)
+            EXPECT_EQ(timing[i], g.timing[i]) << "timing field " << i;
+        EXPECT_EQ(cs.ipc, g.ipc);
     }
 }
 
