@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "analysis/correlation.hh"
 #include "analysis/deadtime.hh"
 #include "analysis/energy.hh"
 #include "trace/primitives.hh"
 #include "trace/trace.hh"
+#include "trace/workloads.hh"
 
 namespace ltc
 {
@@ -177,6 +181,126 @@ TEST(DeadTimeTest, MostDeadTimesExceedMemoryLatency)
 TEST(DeadTimeDeathTest, NonPositiveCyclesPerAccess)
 {
     EXPECT_DEATH(DeadTimeAnalysis(tinyL1(), 0.0), "positive");
+}
+
+//
+// Exact pins on generated workloads
+//
+
+/**
+ * Both analyses over 200k references of generated workloads through
+ * the paper's L1D, pinned exactly: sample counts, the correlation
+ * counters and histogram percentiles. The thresholds above only
+ * bound the shapes; these rows fail on any change to which evictions
+ * the analyses see, or in what order. Regenerate with
+ * `LTC_GOLDEN_PRINT=1 ./ltc_tests --gtest_filter='AnalysisGolden*'`
+ * after an intended change.
+ */
+struct AnalysisGolden
+{
+    const char *workload;
+    std::uint64_t deadSamples; //!< dead times recorded
+    std::uint64_t deadP50;     //!< dead-time percentiles (cycles)
+    std::uint64_t deadP90;
+    std::uint64_t misses; //!< CorrelationResult counters
+    std::uint64_t perfect;
+    std::uint64_t uncorrelated;
+    std::uint64_t distanceSamples;
+    std::uint64_t distanceP90;
+    std::uint64_t sequenceP50; //!< length-weighted sequence lengths
+    std::uint64_t sequenceP90;
+    std::uint64_t lastTouchSamples;
+    std::uint64_t lastTouchP50;
+    std::uint64_t lastTouchP90;
+    double deadMean; //!< exact sample means, not bucketed
+    double lastTouchMean;
+};
+
+const AnalysisGolden kAnalysisGolden[] = {
+    {"mcf", 113262, 32767, 65535, 113262, 0, 113262, 0,
+     0, 0, 0, 113261, 1023, 2047,
+     26744.840281824443, 758.71326405382263},
+    {"em3d", 172219, 16383, 32767, 172219, 1845, 170374, 1845,
+     1, 63, 127, 172218, 511, 2047,
+     14132.402261074561, 561.32361309503074},
+};
+
+TEST(AnalysisGolden, GeneratedWorkloadsMatchExactly)
+{
+    constexpr std::uint64_t refs = 200'000;
+    const bool print = std::getenv("LTC_GOLDEN_PRINT") != nullptr;
+    for (const AnalysisGolden &g : kAnalysisGolden) {
+        SCOPED_TRACE(g.workload);
+        auto dt_src = makeWorkload(g.workload);
+        DeadTimeAnalysis dt(CacheConfig::l1d(), 5.0);
+        EXPECT_EQ(dt.run(*dt_src, refs), refs);
+        const Log2Histogram &dead = dt.histogram();
+
+        auto ca_src = makeWorkload(g.workload);
+        CorrelationAnalysis ca(CacheConfig::l1d());
+        EXPECT_EQ(ca.run(*ca_src, refs), refs);
+        const CorrelationResult r = ca.finish();
+
+        const AnalysisGolden got = {
+            g.workload,
+            dead.samples(),
+            dead.percentile(0.5),
+            dead.percentile(0.9),
+            r.misses,
+            r.perfect,
+            r.uncorrelated,
+            r.distance.samples(),
+            r.distance.percentile(0.9),
+            r.sequenceLength.percentile(0.5),
+            r.sequenceLength.percentile(0.9),
+            r.lastTouchDistance.samples(),
+            r.lastTouchDistance.percentile(0.5),
+            r.lastTouchDistance.percentile(0.9),
+            dead.mean(),
+            r.lastTouchDistance.mean(),
+        };
+        if (print) {
+            std::printf("    {\"%s\", %llu, %llu, %llu, %llu, %llu, "
+                        "%llu, %llu,\n     %llu, %llu, %llu, %llu, "
+                        "%llu, %llu,\n     %.17g, %.17g},\n",
+                        got.workload,
+                        static_cast<unsigned long long>(got.deadSamples),
+                        static_cast<unsigned long long>(got.deadP50),
+                        static_cast<unsigned long long>(got.deadP90),
+                        static_cast<unsigned long long>(got.misses),
+                        static_cast<unsigned long long>(got.perfect),
+                        static_cast<unsigned long long>(
+                            got.uncorrelated),
+                        static_cast<unsigned long long>(
+                            got.distanceSamples),
+                        static_cast<unsigned long long>(got.distanceP90),
+                        static_cast<unsigned long long>(got.sequenceP50),
+                        static_cast<unsigned long long>(got.sequenceP90),
+                        static_cast<unsigned long long>(
+                            got.lastTouchSamples),
+                        static_cast<unsigned long long>(
+                            got.lastTouchP50),
+                        static_cast<unsigned long long>(
+                            got.lastTouchP90),
+                        got.deadMean, got.lastTouchMean);
+            continue;
+        }
+        EXPECT_EQ(got.deadSamples, g.deadSamples);
+        EXPECT_EQ(got.deadP50, g.deadP50);
+        EXPECT_EQ(got.deadP90, g.deadP90);
+        EXPECT_EQ(got.misses, g.misses);
+        EXPECT_EQ(got.perfect, g.perfect);
+        EXPECT_EQ(got.uncorrelated, g.uncorrelated);
+        EXPECT_EQ(got.distanceSamples, g.distanceSamples);
+        EXPECT_EQ(got.distanceP90, g.distanceP90);
+        EXPECT_EQ(got.sequenceP50, g.sequenceP50);
+        EXPECT_EQ(got.sequenceP90, g.sequenceP90);
+        EXPECT_EQ(got.lastTouchSamples, g.lastTouchSamples);
+        EXPECT_EQ(got.lastTouchP50, g.lastTouchP50);
+        EXPECT_EQ(got.lastTouchP90, g.lastTouchP90);
+        EXPECT_EQ(got.deadMean, g.deadMean);
+        EXPECT_EQ(got.lastTouchMean, g.lastTouchMean);
+    }
 }
 
 //
