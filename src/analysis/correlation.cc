@@ -23,12 +23,6 @@ CorrelationAnalysis::CorrelationAnalysis(const CacheConfig &l1d_config,
     : l1d_(l1d_config), window_(window)
 {
     ltc_assert(window_ > 0, "correlation window must be positive");
-    l1d_.setListener(this);
-}
-
-CorrelationAnalysis::~CorrelationAnalysis()
-{
-    l1d_.setListener(nullptr);
 }
 
 void
@@ -43,34 +37,20 @@ CorrelationAnalysis::closeRun()
 }
 
 void
-CorrelationAnalysis::onEviction(Addr victim_addr, Addr incoming_addr,
-                                std::uint32_t set, bool by_prefetch,
-                                bool victim_was_untouched_prefetch,
-                                bool victim_dirty,
-                                std::uint8_t victim_meta)
+CorrelationAnalysis::recordMiss(Addr pc, Addr block, Addr victim)
 {
-    (void)incoming_addr;
-    (void)set;
-    (void)by_prefetch;
-    (void)victim_was_untouched_prefetch;
-    (void)victim_dirty;
-    (void)victim_meta;
-
-    // A cache replacement: this is a "cache miss" event in the
-    // paper's Section 5.1 sense, labelled (miss PC, miss block,
-    // evicted block).
     result_.misses++;
     const std::uint64_t this_index = missIndex_++;
 
     // Metric 3: victim's last-touch time vs this miss's position.
-    auto lt = lastTouch_.find(victim_addr);
+    auto lt = lastTouch_.find(victim);
     if (lt != lastTouch_.end()) {
         evictions_.emplace_back(lt->second, this_index);
         lastTouch_.erase(lt);
     }
 
     // Metrics 1 and 2: temporal correlation distance.
-    const MissLabel label{curPc_, curBlock_, victim_addr};
+    const MissLabel label{pc, block, victim};
     auto it = prevPos_.find(label);
     const bool seen = it != prevPos_.end();
     const std::uint64_t prev = seen ? it->second : 0;
@@ -104,10 +84,11 @@ void
 CorrelationAnalysis::step(const MemRef &ref)
 {
     accessIndex_++;
-    curPc_ = ref.pc;
-    curBlock_ = l1d_.blockAlign(ref.addr);
-    l1d_.access(ref.addr, ref.op);
-    lastTouch_[curBlock_] = accessIndex_;
+    const Addr block = l1d_.blockAlign(ref.addr);
+    const CacheOutcome out = l1d_.access(ref.addr, ref.op);
+    if (out.evicted)
+        recordMiss(ref.pc, block, out.victimAddr);
+    lastTouch_[block] = accessIndex_;
 }
 
 std::uint64_t

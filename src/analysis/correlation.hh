@@ -70,7 +70,7 @@ struct CorrelationResult
     }
 };
 
-class CorrelationAnalysis : public CacheListener
+class CorrelationAnalysis
 {
   public:
     /**
@@ -81,19 +81,12 @@ class CorrelationAnalysis : public CacheListener
      */
     explicit CorrelationAnalysis(const CacheConfig &l1d_config,
                                  std::int64_t window = 16);
-    ~CorrelationAnalysis() override;
 
     void step(const MemRef &ref);
     std::uint64_t run(TraceSource &src, std::uint64_t refs);
 
     /** Finalise (flushes the open run, sorts last-touch data). */
     CorrelationResult finish();
-
-    void onEviction(Addr victim_addr, Addr incoming_addr,
-                    std::uint32_t set, bool by_prefetch,
-                    bool victim_was_untouched_prefetch,
-                    bool victim_dirty,
-                    std::uint8_t victim_meta) override;
 
   private:
     struct MissLabel
@@ -115,15 +108,18 @@ class CorrelationAnalysis : public CacheListener
         std::size_t operator()(const MissLabel &label) const;
     };
 
+    /**
+     * Record a cache replacement — a "cache miss" event in the
+     * paper's Section 5.1 sense, labelled (miss PC @p pc, miss block
+     * @p block, evicted block @p victim).
+     */
+    void recordMiss(Addr pc, Addr block, Addr victim);
+
     void closeRun();
 
     Cache l1d_;
     std::int64_t window_;
     RefPuller puller_; //!< run() pull buffer
-
-    // Current access context (step() fills, onEviction() consumes).
-    Addr curPc_ = 0;
-    Addr curBlock_ = 0;
 
     /** Per-resident-block last access index. */
     std::unordered_map<Addr, std::uint64_t> lastTouch_;

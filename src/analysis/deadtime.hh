@@ -24,7 +24,7 @@
 namespace ltc
 {
 
-class DeadTimeAnalysis : public CacheListener
+class DeadTimeAnalysis
 {
   public:
     /**
@@ -34,7 +34,6 @@ class DeadTimeAnalysis : public CacheListener
      */
     DeadTimeAnalysis(const CacheConfig &l1d_config,
                      double cycles_per_access);
-    ~DeadTimeAnalysis() override;
 
     void step(const MemRef &ref);
     std::uint64_t run(TraceSource &src, std::uint64_t refs);
@@ -44,12 +43,6 @@ class DeadTimeAnalysis : public CacheListener
 
     /** Fraction of dead times longer than @p cycles. */
     double fractionLongerThan(Cycle cycles) const;
-
-    void onEviction(Addr victim_addr, Addr incoming_addr,
-                    std::uint32_t set, bool by_prefetch,
-                    bool victim_was_untouched_prefetch,
-                    bool victim_dirty,
-                    std::uint8_t victim_meta) override;
 
   private:
     Cache l1d_;

@@ -41,10 +41,10 @@ Cache::fillReplacing(Addr addr, Addr predicted_victim)
         if (victim != noWay) {
             const std::uint32_t way = static_cast<std::uint32_t>(
                 victim - static_cast<std::size_t>(set) * config_.assoc);
-            return insert(tag, set, way, true, true, false);
+            return insert(tag, set, way, true, false);
         }
     }
-    return insert(tag, set, victimWay(set), true, true, false);
+    return insert(tag, set, victimWay(set), true, false);
 }
 
 CacheOutcome
@@ -58,8 +58,8 @@ Cache::fill(Addr addr, bool mark_prefetched)
     }
     prefetchFills_++;
     const std::uint32_t set = setIndex(addr);
-    return insert(tagOf(addr), set, victimWay(set), true,
-                  mark_prefetched, false);
+    return insert(tagOf(addr), set, victimWay(set), mark_prefetched,
+                  false);
 }
 
 bool

@@ -7,7 +7,8 @@
  * signatures), supports prefetch fills that replace a *predicted*
  * dead block rather than the replacement-policy victim (how DBCP and
  * LT-cords place data directly into L1D without pollution, Section 2),
- * and notifies an optional listener of every eviction.
+ * and reports every eviction, victim state included, in the outcome
+ * of the access or fill that caused it.
  */
 
 #ifndef LTC_CACHE_CACHE_HH
@@ -34,8 +35,8 @@ namespace ltc
  * block address) describing how a prefetched line was fetched; those
  * probes sat on the per-reference hot path. The bits now live on the
  * cache line itself and travel with it: access() reports and clears
- * them (CacheOutcome::meta), evictions hand them to the listener
- * (victim_meta). The cache never interprets them.
+ * them (CacheOutcome::meta), and an eviction reports the victim's
+ * (CacheOutcome::victimMeta). The cache never interprets them.
  */
 enum : std::uint8_t
 {
@@ -45,33 +46,12 @@ enum : std::uint8_t
     LineMetaOffChip = 0x2,
 };
 
-/** Observer of cache events (used by analyses and predictors). */
-class CacheListener
+/** Whether @p meta is the entry of a prefetch fetched off chip. */
+constexpr bool
+fetchedOffChip(std::uint8_t meta)
 {
-  public:
-    virtual ~CacheListener() = default;
-
-    /**
-     * A valid block was evicted.
-     * @param victim_addr   Block-aligned address of the evicted block.
-     * @param incoming_addr Block-aligned address that replaces it.
-     * @param set           Set index.
-     * @param by_prefetch   True when the fill was a prefetch.
-     * @param victim_was_untouched_prefetch True when the victim had
-     *        been prefetched and never referenced by demand (a
-     *        useless prefetch).
-     * @param victim_dirty  True when the victim line was dirty (a
-     *        store had touched it since the fill): the eviction owes
-     *        the next level a writeback.
-     * @param victim_meta   The victim line's engine-owned metadata
-     *        bits (LineMeta*) at eviction time.
-     */
-    virtual void onEviction(Addr victim_addr, Addr incoming_addr,
-                            std::uint32_t set, bool by_prefetch,
-                            bool victim_was_untouched_prefetch,
-                            bool victim_dirty,
-                            std::uint8_t victim_meta) = 0;
-};
+    return (meta & LineMetaFetched) && (meta & LineMetaOffChip);
+}
 
 /** Result of one cache access or fill. */
 struct CacheOutcome
@@ -83,6 +63,13 @@ struct CacheOutcome
     bool evicted = false;
     /** The evicted block was dirty (writeback owed), if evicted. */
     bool victimDirty = false;
+    /**
+     * The evicted block had been prefetched and never referenced by
+     * demand (a useless prefetch), if evicted.
+     */
+    bool victimUntouchedPrefetch = false;
+    /** The evicted line's engine-owned metadata bits, if evicted. */
+    std::uint8_t victimMeta = 0;
     /** Block-aligned address of the evicted block (if evicted). */
     Addr victimAddr = invalidAddr;
     /** Set index touched by the access. */
@@ -183,9 +170,9 @@ class Cache
      *
      * Preconditions the caller must guarantee (the predictor-less
      * engine fast path does, by construction): no line carries
-     * prefetched/metadata state, and any attached listener ignores
-     * demand evictions — under those, skipping the outcome struct and
-     * the listener call is behaviour-identical, and the batch/scalar
+     * prefetched/metadata state, and the caller needs nothing from a
+     * miss's victim (no writeback modelling) — under those, skipping
+     * the outcome struct is behaviour-identical, and the batch/scalar
      * equivalence tests pin it.
      *
      * @tparam Policy PolicyAuto or the policy matching
@@ -302,8 +289,6 @@ class Cache
         return true;
     }
 
-    void setListener(CacheListener *listener) { listener_ = listener; }
-
     /**
      * Walk the whole structure and LTC_CHECK every representation
      * invariant of the packed-tag SoA layout: invalid lines are
@@ -400,8 +385,8 @@ class Cache
     std::uint32_t victimWay(std::uint32_t set);
     template <typename Policy = PolicyAuto>
     CacheOutcome insert(std::uint64_t tag, std::uint32_t set,
-                        std::uint32_t way, bool by_prefetch,
-                        bool mark_prefetched, bool dirty);
+                        std::uint32_t way, bool mark_prefetched,
+                        bool dirty);
 
     CacheConfig config_;
     unsigned lineBits_;
@@ -426,7 +411,6 @@ class Cache
     Rng rng_{12345};
     /** Table state for the policies that need it (DRRIP, SHiP). */
     PolicyState policyState_;
-    CacheListener *listener_ = nullptr;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
@@ -441,8 +425,7 @@ class Cache
 //
 // The demand-access chain (findIndex -> access -> insert) is defined
 // inline here so the engines' batched run loops compile it into one
-// tight loop: no call boundary is crossed per reference except the
-// (rare) eviction-listener virtual call.
+// tight loop: no call boundary is crossed per reference.
 //
 // LTC_HOT_BEGIN: tools/ltc_lint.py bans hash maps, the modulo
 // operator and virtual declarations between these markers.
@@ -514,12 +497,12 @@ Cache::victimWay(std::uint32_t set)
 template <typename Policy>
 inline CacheOutcome
 Cache::insert(std::uint64_t tag, std::uint32_t set, std::uint32_t way,
-              bool by_prefetch, bool mark_prefetched, bool dirty)
+              bool mark_prefetched, bool dirty)
 {
     if constexpr (std::is_same_v<Policy, PolicyAuto>) {
         return withPolicy(config_.policy, [&](auto pol) {
-            return insert<decltype(pol)>(tag, set, way, by_prefetch,
-                                         mark_prefetched, dirty);
+            return insert<decltype(pol)>(tag, set, way, mark_prefetched,
+                                         dirty);
         });
     } else {
         const std::size_t idx =
@@ -531,15 +514,11 @@ Cache::insert(std::uint64_t tag, std::uint32_t set, std::uint32_t way,
         if (old & lineValid) {
             out.evicted = true;
             out.victimDirty = (old & lineDirty) != 0;
+            out.victimUntouchedPrefetch = (old & linePrefetched) != 0;
+            out.victimMeta = lineMeta(old);
             out.victimAddr = lineAddr(old);
             evictions_++;
             Policy::onEvict(old, policyState_);
-            if (listener_) {
-                listener_->onEviction(
-                    out.victimAddr, (tag << lineBits_), set,
-                    by_prefetch, (old & linePrefetched) != 0,
-                    out.victimDirty, lineMeta(old));
-            }
         }
         tagFlags_[idx] = (tag << tagShift) | lineValid |
             (dirty ? lineDirty : 0) |
@@ -591,8 +570,8 @@ Cache::access(Addr addr, MemOp op)
 
         misses_++;
         return insert<Policy>(tag, set,
-                              victimWay<StaticAssoc, Policy>(set),
-                              false, false, op == MemOp::Store);
+                              victimWay<StaticAssoc, Policy>(set), false,
+                              op == MemOp::Store);
     }
 }
 

@@ -32,11 +32,7 @@ PrefetchOutcome
 CacheHierarchy::prefetch(Addr addr, Addr predicted_victim)
 {
     PrefetchOutcome out;
-    if (config_.perfectL1) {
-        out.alreadyInL1 = true;
-        return out;
-    }
-    if (l1d_.probe(addr)) {
+    if (config_.perfectL1 || l1d_.probe(addr)) {
         out.alreadyInL1 = true;
         return out;
     }
@@ -47,12 +43,27 @@ CacheHierarchy::prefetch(Addr addr, Addr predicted_victim)
     if (!out.l2Hit) {
         // Waypoint install: the L1 copy tracks usefulness, so the L2
         // line must not be flagged as an untouched prefetch.
-        l2_.fill(addr, /*mark_prefetched=*/false);
+        out.l2Victim = victimOf(l2_.fill(addr, /*mark_prefetched=*/false));
     }
 
-    const CacheOutcome l1 = l1d_.fillReplacing(addr, predicted_victim);
-    out.l1Evicted = l1.evicted;
-    out.l1VictimAddr = l1.victimAddr;
+    out.l1Victim = l1VictimOf(l1d_.fillReplacing(addr, predicted_victim));
+    // At most one classification entry per block: retire any stale
+    // L2-side entry before writing the L1 line's.
+    l2_.takeMeta(addr);
+    l1d_.setMeta(addr, LineMetaFetched | (out.l2Hit ? 0 : LineMetaOffChip));
+    return out;
+}
+
+PrefetchOutcome
+CacheHierarchy::prefetchL2(Addr addr)
+{
+    PrefetchOutcome out;
+    out.l2Hit = l2_.probe(addr);
+    if (out.l2Hit)
+        return out;
+    out.l2Victim = victimOf(l2_.fill(addr));
+    l1d_.takeMeta(addr);
+    l2_.setMeta(addr, LineMetaFetched | LineMetaOffChip);
     return out;
 }
 

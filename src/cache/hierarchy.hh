@@ -4,10 +4,19 @@
  *
  * L1D backed by a unified L2 backed by memory (Table 1 geometry by
  * default). The hierarchy reports, for every demand access, where the
- * data came from and what the L1D replacement evicted — the inputs
- * the last-touch predictors consume. Prefetches install into both
- * levels (data returning from memory passes through L2) and into L1D
- * by replacing the predicted dead block.
+ * data came from and what each level's replacement evicted — the
+ * inputs the last-touch predictors consume and the events the engines
+ * classify. Prefetches install into both levels (data returning from
+ * memory passes through L2) and into L1D by replacing the predicted
+ * dead block, or into L2 only.
+ *
+ * The hierarchy also keeps the engines' classification protocol: at
+ * most one classification entry (LineMeta* bits) exists per block, on
+ * whichever level's line the latest prefetch installed it. It moves an
+ * entry between the levels where a victim or a hit needs the other
+ * copy's, and charges a dirty L1 victim to its L2 copy under
+ * modelWritebacks, at the point between the L1 and L2 steps where the
+ * result can differ.
  */
 
 #ifndef LTC_CACHE_HIERARCHY_HH
@@ -93,10 +102,11 @@ struct HierarchyConfig
     /**
      * Model writeback traffic: dirty victims propagate to the next
      * level (L1 -> L2 via Cache::setDirty, L2 -> memory as Writeback
-     * bus bytes). Off by default — the committed goldens predate the
-     * dirty-bit fix, and the paper's Figure 12 decomposition counts
-     * fetch traffic only — and routed through the engines' full
-     * per-reference bodies (stepImpl) when on.
+     * bus bytes; see Victim::writeback). Off by default — the
+     * committed goldens predate the dirty-bit fix, and the paper's
+     * Figure 12 decomposition counts fetch traffic only — and routed
+     * through the engines' full per-reference bodies (stepImpl) when
+     * on.
      */
     bool modelWritebacks = false;
 };
@@ -111,6 +121,35 @@ enum class HitLevel
 
 const char *hitLevelName(HitLevel level);
 
+/**
+ * The block one level's replacement evicted, as the hierarchy reports
+ * it: the event behind Fig. 8's incorrect and early classes and
+ * Fig. 12's incorrect-prefetch and writeback traffic, which the
+ * engines classify.
+ */
+struct Victim
+{
+    /** A valid block was evicted; the other fields are unset if not. */
+    bool evicted = false;
+    /** Prefetched and never referenced by demand: a useless prefetch. */
+    bool untouchedPrefetch = false;
+    /** Dirty under modelWritebacks: the eviction owes a writeback. */
+    bool writeback = false;
+    /**
+     * L1 victims only: the block's L2 copy absorbed the writeback (it
+     * is now dirty there), so it stays on chip.
+     */
+    bool absorbed = false;
+    /**
+     * The block's classification entry (LineMeta* bits). For an
+     * untouched L1 victim whose line carried none, the entry of its
+     * L2 copy, which the hierarchy took.
+     */
+    std::uint8_t meta = 0;
+    /** Block-aligned address of the evicted block. */
+    Addr addr = invalidAddr;
+};
+
 /** Result of one demand access through the hierarchy. */
 struct HierOutcome
 {
@@ -119,14 +158,19 @@ struct HierOutcome
     bool l1HitOnPrefetch = false;
     /** The L2 hit consumed an untouched prefetched block. */
     bool l2HitOnPrefetch = false;
-    /** L1D eviction caused by this access (fodder for last touches). */
-    bool l1Evicted = false;
-    /** Engine metadata bits consumed from the hitting L1 line. */
+    /**
+     * Classification entry consumed from the hitting L1 line; on a
+     * prefetch hit whose line carried none, its L2 copy's, which the
+     * hierarchy took.
+     */
     std::uint8_t l1Meta = 0;
-    /** Engine metadata bits consumed from the hitting L2 line. */
+    /** Classification entry consumed from the hitting L2 line. */
     std::uint8_t l2Meta = 0;
-    Addr l1VictimAddr = invalidAddr;
     std::uint32_t l1Set = 0;
+    /** L1D eviction caused by this access (fodder for last touches). */
+    Victim l1Victim;
+    /** L2 eviction caused by this access. */
+    Victim l2Victim;
     bool l1Hit() const { return level == HitLevel::L1; }
 };
 
@@ -137,9 +181,10 @@ struct PrefetchOutcome
     bool alreadyInL1 = false;
     /** Data found in L2 (fill is cheap); otherwise fetched off chip. */
     bool l2Hit = false;
-    /** L1D eviction caused by the fill. */
-    bool l1Evicted = false;
-    Addr l1VictimAddr = invalidAddr;
+    /** L2 eviction caused by the L2 install, if any. */
+    Victim l2Victim;
+    /** L1D eviction caused by the fill (prefetch() only). */
+    Victim l1Victim;
 };
 
 class CacheHierarchy
@@ -171,8 +216,8 @@ class CacheHierarchy
      * Whether a predictor-less engine may run the trimmed
      * Cache::accessBaseline body instead of access(): no perfect L1
      * (the trimmed body always looks up the tags), no writeback
-     * modelling (it bypasses the eviction listeners that charge
-     * writebacks) and no prefetch fill in either cache (hand-injected
+     * modelling (the body reports no victims, so dirty ones would go
+     * uncharged) and no prefetch fill in either cache (hand-injected
      * fills leave prefetched/meta state on lines the body skips).
      */
     bool
@@ -183,24 +228,19 @@ class CacheHierarchy
     }
 
     /**
-     * Reconcile the hierarchy-level counters after a baseline batch
-     * (the engines' predictor-less bodies drive the member caches
-     * through Cache::accessBaseline and report the totals here).
-     */
-    void
-    noteBaselineBatch(std::uint64_t accesses, std::uint64_t l1_misses,
-                      std::uint64_t l2_misses)
-    {
-        accesses_ += accesses;
-        l1Misses_ += l1_misses;
-        l2Misses_ += l2_misses;
-    }
-
-    /**
      * Prefetch @p addr into L1D replacing @p predicted_victim, and
-     * install into L2 on the way.
+     * install into L2 on the way. The block's classification entry
+     * moves to the L1 line (off chip unless L2 held the block).
      */
     PrefetchOutcome prefetch(Addr addr, Addr predicted_victim);
+
+    /**
+     * Conventional (GHB-style) prefetch of @p addr into L2 only. A
+     * resident block is reported as l2Hit and left alone; otherwise
+     * the block is installed as an untouched prefetch and its
+     * classification entry, an off-chip one, moves to the L2 line.
+     */
+    PrefetchOutcome prefetchL2(Addr addr);
 
     /** Drop all cached state (used to model loss of cache contents). */
     void flush();
@@ -211,24 +251,48 @@ class CacheHierarchy
     const Cache &l2() const { return l2_; }
     const HierarchyConfig &config() const { return config_; }
 
-    std::uint64_t accesses() const { return accesses_; }
-    std::uint64_t l1Misses() const { return l1Misses_; }
-    std::uint64_t l2Misses() const { return l2Misses_; }
-
   private:
+    /** The record of @p c's eviction, before any cross-level rule. */
+    Victim
+    victimOf(const CacheOutcome &c) const
+    {
+        Victim v;
+        v.evicted = c.evicted;
+        v.untouchedPrefetch = c.victimUntouchedPrefetch;
+        v.writeback = c.victimDirty && config_.modelWritebacks;
+        v.meta = c.victimMeta;
+        v.addr = c.victimAddr;
+        return v;
+    }
+
+    /**
+     * @p l1's victim with the L1-side rules applied; called right
+     * after the L1 step, before any L2 step can evict the block's L2
+     * copy. A dirty victim writes back into its L2 copy when one is
+     * left (no allocation on writeback: the block just left). An
+     * untouched prefetched victim whose line carried no entry takes
+     * its L2 copy's, where a later L2-only prefetch put it.
+     */
+    Victim
+    l1VictimOf(const CacheOutcome &l1)
+    {
+        Victim v = victimOf(l1);
+        if (v.writeback)
+            v.absorbed = l2_.setDirty(v.addr);
+        if (v.untouchedPrefetch && !(v.meta & LineMetaFetched))
+            v.meta = l2_.takeMeta(v.addr);
+        return v;
+    }
+
     HierarchyConfig config_;
     Cache l1d_;
     Cache l2_;
-    std::uint64_t accesses_ = 0;
-    std::uint64_t l1Misses_ = 0;
-    std::uint64_t l2Misses_ = 0;
 };
 
 template <std::uint32_t L1Assoc, std::uint32_t L2Assoc, typename Policy>
 inline HierOutcome
 CacheHierarchy::access(Addr addr, MemOp op)
 {
-    accesses_++;
     HierOutcome out;
 
     if (config_.perfectL1) {
@@ -241,15 +305,18 @@ CacheHierarchy::access(Addr addr, MemOp op)
     if (l1.hit) {
         out.level = HitLevel::L1;
         out.l1HitOnPrefetch = l1.hitUntouchedPrefetch;
+        // The touch consumed the line's entry; one a later L2-only
+        // prefetch moved to the L2 copy belongs to this hit too.
         out.l1Meta = l1.meta;
+        if (l1.hitUntouchedPrefetch && !(l1.meta & LineMetaFetched))
+            out.l1Meta = l2_.takeMeta(addr);
         return out;
     }
 
-    out.l1Evicted = l1.evicted;
-    out.l1VictimAddr = l1.victimAddr;
-    l1Misses_++;
+    out.l1Victim = l1VictimOf(l1);
 
     const CacheOutcome l2 = l2_.access<L2Assoc, Policy>(addr, op);
+    out.l2Victim = victimOf(l2);
     if (l2.hit) {
         out.level = HitLevel::L2;
         out.l2HitOnPrefetch = l2.hitUntouchedPrefetch;
@@ -257,7 +324,6 @@ CacheHierarchy::access(Addr addr, MemOp op)
         return out;
     }
 
-    l2Misses_++;
     out.level = HitLevel::Memory;
     return out;
 }

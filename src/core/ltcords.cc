@@ -158,10 +158,10 @@ LtCords::observe(const MemRef &ref, const HierOutcome &out)
 
     // Record: a demand miss that evicted a block defines a last-touch
     // signature, keyed by the window state BEFORE the miss PC enters.
-    if (!out.l1Hit() && out.l1Evicted) {
+    if (!out.l1Hit() && out.l1Victim.evicted) {
         const std::uint64_t record_key = history_.signatureKey(set);
-        storage_.record(record_key, block, out.l1VictimAddr);
-        history_.closeWindow(set, out.l1VictimAddr);
+        storage_.record(record_key, block, out.l1Victim.addr);
+        history_.closeWindow(set, out.l1Victim.addr);
     }
 
     history_.recordAccess(set, ref.pc);

@@ -137,10 +137,10 @@ Dbcp::observe(const MemRef &ref, const HierOutcome &out)
 
     // A demand miss that evicted a block defines a last-touch
     // signature: key sampled BEFORE the miss PC enters the window.
-    if (!out.l1Hit() && out.l1Evicted) {
+    if (!out.l1Hit() && out.l1Victim.evicted) {
         const std::uint64_t key = history_.signatureKey(set);
-        record(key, blockOf(ref.addr), out.l1VictimAddr);
-        history_.closeWindow(set, out.l1VictimAddr);
+        record(key, blockOf(ref.addr), out.l1Victim.addr);
+        history_.closeWindow(set, out.l1Victim.addr);
     }
 
     history_.recordAccess(set, ref.pc);

@@ -7,45 +7,6 @@
 namespace ltc
 {
 
-/**
- * L2 eviction listener: a dirty L2 victim leaves the chip. Charged as
- * Writeback traffic and as occupancy on the shared memory data
- * channel at the cycle of the eviction-causing event (wbNow_), so
- * writebacks contend with demand fills the way they would in
- * hardware. Dirtiness and untouched-prefetch state can coexist at L2
- * (an L1 writeback can land on a still-untouched prefetched L2 copy),
- * but the untouched-prefetch classification of L2 victims is the
- * trace engine's concern — the timing engine tracks prefetch
- * usefulness through L1 evictions and the in-flight table only.
- */
-class TimingSim::L2WritebackListener : public CacheListener
-{
-  public:
-    explicit L2WritebackListener(TimingSim &owner) : owner_(owner) {}
-
-    void
-    onEviction(Addr victim_addr, Addr incoming_addr,
-               std::uint32_t set, bool by_prefetch,
-               bool victim_was_untouched_prefetch,
-               bool victim_dirty, std::uint8_t victim_meta) override
-    {
-        (void)victim_addr;
-        (void)incoming_addr;
-        (void)set;
-        (void)by_prefetch;
-        (void)victim_was_untouched_prefetch;
-        (void)victim_meta;
-        if (!victim_dirty)
-            return;
-        const std::uint32_t line = owner_.config_.hier.l2.lineBytes;
-        owner_.running_.traffic.add(Traffic::Writeback, line);
-        owner_.memData_.transfer(owner_.wbNow_, line);
-    }
-
-  private:
-    TimingSim &owner_;
-};
-
 TimingSim::TimingSim(const TimingConfig &config, Prefetcher *pred)
     : config_(config), core_(config.core), hier_(config.hier),
       mshrs_(config.core.l1dMshrs), l1l2Req_(config.l1l2Bus),
@@ -59,24 +20,11 @@ TimingSim::TimingSim(const TimingConfig &config, Prefetcher *pred)
     memReqOcc_ = config_.memBus.occupancy(0);
     memLineOcc_ = config_.memBus.occupancy(line);
     dramLineLat_ = dram_.latency(line);
-    hier_.l1d().setListener(this);
-    if (config_.hier.modelWritebacks) {
-        // Only attached when writebacks are modelled, so the default
-        // configuration keeps its listener-free L2 insert path.
-        l2Writeback_ = std::make_unique<L2WritebackListener>(*this);
-        hier_.l2().setListener(l2Writeback_.get());
-    }
-}
-
-TimingSim::~TimingSim()
-{
-    hier_.l1d().setListener(nullptr);
-    hier_.l2().setListener(nullptr);
 }
 
 // ------------------------------------------- per-event hot path
 //
-// Eviction feedback, the miss and prefetch event chains, and the
+// Victim handling, the miss and prefetch event chains, and the
 // per-reference bodies. run() is one pull loop with two bodies:
 // stepImpl, which step() also runs, and a trimmed body for
 // predictor-less runs.
@@ -85,39 +33,24 @@ TimingSim::~TimingSim()
 // operator and virtual declarations between these markers.
 
 void
-TimingSim::onEviction(Addr victim_addr, Addr incoming_addr,
-                      std::uint32_t set, bool by_prefetch,
-                      bool victim_was_untouched_prefetch,
-                      bool victim_dirty,
-                      std::uint8_t victim_meta)
+TimingSim::l1Victim(const Victim &v, Cycle now)
 {
-    (void)incoming_addr;
-    (void)set;
-    (void)by_prefetch;
-    if (victim_dirty && config_.hier.modelWritebacks) {
+    const std::uint32_t line = config_.hier.l1d.lineBytes;
+    if (v.writeback) {
         // A dirty L1 victim writes back over the L1/L2 data channel;
-        // it only continues off chip when L2 no longer holds the
-        // block (no allocation on writeback: the block just left).
-        const std::uint32_t line = config_.hier.l1d.lineBytes;
-        l1l2Data_.transfer(wbNow_, line);
-        if (!hier_.l2().setDirty(victim_addr)) {
+        // it only continues off chip when L2 no longer held the block
+        // to absorb it.
+        l1l2Data_.transfer(now, line);
+        if (!v.absorbed) {
             running_.traffic.add(Traffic::Writeback, line);
-            memData_.transfer(wbNow_, line);
+            memData_.transfer(now, line);
         }
     }
-    if (!victim_was_untouched_prefetch)
+    if (!v.untouchedPrefetch)
         return;
     running_.useless++;
-    // The classification entry rides on the victim line; a later
-    // conventional prefetch may have moved the block's entry to the
-    // L2 line (at most one entry exists per block).
-    std::uint8_t meta = victim_meta;
-    if (!(meta & LineMetaFetched))
-        meta = hier_.l2().takeMeta(victim_addr);
-    if ((meta & LineMetaFetched) && (meta & LineMetaOffChip)) {
-        running_.traffic.add(Traffic::IncorrectPrefetch,
-                             config_.hier.l1d.lineBytes);
-    }
+    if (fetchedOffChip(v.meta))
+        running_.traffic.add(Traffic::IncorrectPrefetch, line);
     // The victim's in-flight entry (if any) is deliberately kept: the
     // eviction removes the L1 copy, but the physical fill is still on
     // the busses, and a re-reference that hits the block's L2 copy
@@ -125,7 +58,22 @@ TimingSim::onEviction(Addr victim_addr, Addr incoming_addr,
     // time and let such re-references under-count latency; stale
     // entries are bounded by purgeInflight() instead.
     if (pred_)
-        bufferFeedback(victim_addr, true);
+        bufferFeedback(v.addr, true);
+}
+
+void
+TimingSim::l2Victim(const Victim &v, Cycle now)
+{
+    // A dirty L2 victim leaves the chip, occupying the shared memory
+    // data channel so writebacks contend with demand fills the way
+    // they would in hardware. An untouched prefetched L2 victim is
+    // not classified here: this engine tracks prefetch usefulness
+    // through L1 victims and the in-flight table only.
+    if (!v.writeback)
+        return;
+    const std::uint32_t line = config_.hier.l2.lineBytes;
+    running_.traffic.add(Traffic::Writeback, line);
+    memData_.transfer(now, line);
 }
 
 Cycle
@@ -179,7 +127,7 @@ TimingSim::enqueuePrefetch(const PrefetchRequest &req, Cycle now)
     // bandwidth; real prefetchers filter them against the tag array.
     // An in-flight entry counts only while its fill is still pending
     // (completion in the future): entries now outlive L1 evictions
-    // (see onEviction), and a long-completed fill of a since-evicted
+    // (see l1Victim), and a long-completed fill of a since-evicted
     // block must not veto a fresh prefetch.
     const Addr block = hier_.l1d().blockAlign(req.target);
     const Cycle *fill = inflight_.find(block);
@@ -236,8 +184,6 @@ TimingSim::drainPrefetchQueue(Cycle now)
 void
 TimingSim::issuePrefetch(const PrefetchRequest &req, Cycle now)
 {
-    if (config_.hier.modelWritebacks)
-        wbNow_ = now; // prefetch fills can evict dirty lines
     const Addr block = hier_.l1d().blockAlign(req.target);
 
     if (req.intoL1) {
@@ -281,20 +227,14 @@ TimingSim::issuePrefetch(const PrefetchRequest &req, Cycle now)
         const PrefetchOutcome out = hier_.prefetch(req.target, directed);
         if (out.alreadyInL1)
             return;
+        l2Victim(out.l2Victim, now);
+        l1Victim(out.l1Victim, now);
         inflight_.insert(block, complete);
-        // One classification entry per block: retire any stale
-        // L2-side entry before writing the L1 line's.
-        hier_.l2().takeMeta(block);
-        hier_.l1d().setMeta(block,
-                            LineMetaFetched |
-                                (l2_hit ? 0 : LineMetaOffChip));
-        if (out.l1Evicted && pred_)
-            pred_->onPrefetchEviction(out.l1VictimAddr, req.target);
+        if (out.l1Victim.evicted && pred_)
+            pred_->onPrefetchEviction(out.l1Victim.addr, req.target);
     } else {
-        hier_.l2().fill(block);
+        l2Victim(hier_.prefetchL2(block).l2Victim, now);
         inflight_.insert(block, data_ready);
-        hier_.l1d().takeMeta(block);
-        hier_.l2().setMeta(block, LineMetaFetched | LineMetaOffChip);
     }
 }
 
@@ -344,10 +284,10 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
         ready = std::max(ready, cur.lastLoad);
 
     const Addr block = hier_.l1d().blockAlign(ref.addr);
-    if (config_.hier.modelWritebacks)
-        wbNow_ = ready; // eviction listeners fire inside access()
     const HierOutcome out =
         hier_.access<L1Assoc, L2Assoc, Policy>(ref.addr, ref.op);
+    l1Victim(out.l1Victim, ready);
+    l2Victim(out.l2Victim, ready);
     cur.accesses++;
 
     Cycle complete;
@@ -364,12 +304,7 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
         }
         if (out.l1HitOnPrefetch) {
             cur.correct++;
-            // The access consumed the L1 line's classification
-            // entry; fall back to an L2-side entry.
-            std::uint8_t meta = out.l1Meta;
-            if (!(meta & LineMetaFetched))
-                meta = hier_.l2().takeMeta(block);
-            if ((meta & LineMetaFetched) && (meta & LineMetaOffChip))
+            if (fetchedOffChip(out.l1Meta))
                 cur.baseBytes += config_.hier.l1d.lineBytes;
             if (pred_)
                 bufferFeedback(ref.addr, false);
@@ -380,10 +315,8 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
             cur.l2Misses++;
             cur.baseBytes += config_.hier.l1d.lineBytes;
         } else if (out.l2HitOnPrefetch) {
-            if ((out.l2Meta & LineMetaFetched) &&
-                (out.l2Meta & LineMetaOffChip)) {
+            if (fetchedOffChip(out.l2Meta))
                 cur.baseBytes += config_.hier.l1d.lineBytes;
-            }
             if (pred_)
                 bufferFeedback(ref.addr, false);
         }
@@ -473,14 +406,11 @@ TimingSim::run(TraceSource &src, std::uint64_t refs)
             }
             // Predictor-less, stepImpl degenerates to the core, MSHR,
             // bus and DRAM events below. The caches' counters live in
-            // BaselineCursors for the whole run and the hierarchy's
-            // are reconciled from them afterwards.
+            // BaselineCursors for the whole run.
             Cache &l1 = hier_.l1d();
             Cache &l2 = hier_.l2();
-            const Cache::BaselineCursor start1 = l1.baselineCursor();
-            const Cache::BaselineCursor start2 = l2.baselineCursor();
-            Cache::BaselineCursor c1 = start1;
-            Cache::BaselineCursor c2 = start2;
+            Cache::BaselineCursor c1 = l1.baselineCursor();
+            Cache::BaselineCursor c2 = l2.baselineCursor();
             const Cycle l1_lat = config_.hier.l1d.latency;
             const std::uint32_t line_bytes = config_.hier.l1d.lineBytes;
             const std::uint64_t consumed = puller_.forEach(
@@ -526,9 +456,6 @@ TimingSim::run(TraceSource &src, std::uint64_t refs)
                 });
             l1.commitBaseline(c1);
             l2.commitBaseline(c2);
-            hier_.noteBaselineBatch(c1.accesses - start1.accesses,
-                                    c1.misses - start1.misses,
-                                    c2.misses - start2.misses);
             return consumed;
         });
     commitPred(cur);

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -98,7 +97,7 @@ struct TimingStats
 };
 
 /** The cycle timing engine (see the file comment). */
-class TimingSim : public CacheListener
+class TimingSim
 {
   public:
     /**
@@ -107,8 +106,6 @@ class TimingSim : public CacheListener
      *               baseline runs); not owned.
      */
     TimingSim(const TimingConfig &config, Prefetcher *pred);
-    /** Detaches the engine from the hierarchy's listener list. */
-    ~TimingSim() override;
 
     TimingSim(const TimingSim &) = delete;            //!< non-copyable
     TimingSim &operator=(const TimingSim &) = delete; //!< non-copyable
@@ -135,14 +132,6 @@ class TimingSim : public CacheListener
     /** The MSHR file (test access: occupancy trajectory checks). */
     MshrFile &mshrs() { return mshrs_; }
 
-    /** CacheListener: L1D evictions -> prefetch usefulness feedback
-     *  and (under modelWritebacks) dirty-victim writebacks. */
-    void onEviction(Addr victim_addr, Addr incoming_addr,
-                    std::uint32_t set, bool by_prefetch,
-                    bool victim_was_untouched_prefetch,
-                    bool victim_dirty,
-                    std::uint8_t victim_meta) override;
-
     /**
      * Audit every structure the timing model owns: both caches, the
      * MSHR file, all six bus channels, the DRAM model, the core's
@@ -167,11 +156,11 @@ class TimingSim : public CacheListener
      * bodies: the TimingStats counters they increment live in this
      * POD for a whole run, so the inner loop carries no loop-carried
      * dependences through the engine's memory. They are disjoint from
-     * everything the eviction listeners and the prefetch path write
-     * into running_ (useless, dropped, writeback, incorrect-prefetch
-     * and sequence traffic), so folding them in once does not reorder
-     * any observable event. step() commits one immediately, run() at
-     * run end.
+     * everything the victim handlers (l1Victim, l2Victim) and the
+     * prefetch path write into running_ (useless, dropped, writeback,
+     * incorrect-prefetch and sequence traffic), so folding them in
+     * once does not reorder any observable event. step() commits one
+     * immediately, run() at run end.
      */
     struct PredCursor
     {
@@ -248,7 +237,7 @@ class TimingSim : public CacheListener
      * every later completion is at least the later issue cycle — so
      * the purge is semantics-preserving; it only bounds the table,
      * which no longer shrinks at evictions (an evicted block's
-     * pending fill must keep its completion time, see onEviction).
+     * pending fill must keep its completion time, see l1Victim).
      * Amortized: runs when the table reaches the trigger size, which
      * then doubles.
      */
@@ -269,6 +258,17 @@ class TimingSim : public CacheListener
 
     /** Charge predictor metadata traffic to the memory bus. */
     void chargeMetaTraffic(Cycle now);
+
+    /**
+     * Account an L1D victim evicted at cycle @p now: its writeback
+     * (L1/L2 data channel, and off chip unless L2 absorbed it) and,
+     * for a useless prefetch, incorrect-prefetch traffic and
+     * predictor feedback.
+     */
+    void l1Victim(const Victim &v, Cycle now);
+
+    /** Account an L2 victim's writeback off chip at cycle @p now. */
+    void l2Victim(const Victim &v, Cycle now);
 
     TimingConfig config_;
     OooCore core_;
@@ -313,7 +313,7 @@ class TimingSim : public CacheListener
      * paths probe unconditionally instead of guarding with empty()
      * checks that once let the call sites diverge. Entries persist
      * across L1 evictions (the data is still physically in flight;
-     * see onEviction) and are bounded by purgeInflight().
+     * see l1Victim) and are bounded by purgeInflight().
      */
     AddrMap<Cycle> inflight_;
     /** purgeInflight() trigger size (doubles after each purge). */
@@ -326,18 +326,6 @@ class TimingSim : public CacheListener
     RefPuller puller_;                    //!< run() pull buffer
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
     std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
-
-    /** Listener charging dirty L2 victims (modelWritebacks only). */
-    class L2WritebackListener;
-    std::unique_ptr<L2WritebackListener> l2Writeback_;
-    /**
-     * Cycle the current event's evictions happen at (the demand ready
-     * cycle in stepImpl, the issue slot in issuePrefetch): the
-     * eviction listener runs inside Cache::insert and needs a
-     * timestamp to occupy the writeback busses from. Only maintained
-     * under modelWritebacks.
-     */
-    Cycle wbNow_ = 0;
 
     // Per-run constants of the miss event path, hoisted out of the
     // per-event arithmetic: bus occupancies for the two transfer

@@ -7,70 +7,11 @@
 namespace ltc
 {
 
-/**
- * L2 eviction listener: when a block prefetched into L2 (GHB/stride
- * style) dies unused, classify its off-chip transfer as incorrect-
- * prediction traffic and tell the predictor.
- */
-class TraceEngine::L2Listener : public CacheListener
-{
-  public:
-    explicit L2Listener(TraceEngine &owner) : owner_(owner) {}
-
-    void
-    onEviction(Addr victim_addr, Addr incoming_addr, std::uint32_t set,
-               bool by_prefetch, bool victim_was_untouched_prefetch,
-               bool victim_dirty, std::uint8_t victim_meta) override
-    {
-        (void)incoming_addr;
-        (void)set;
-        (void)by_prefetch;
-        if (victim_dirty && owner_.hierConfig_.modelWritebacks) {
-            // A dirty L2 victim crosses the chip boundary on its way
-            // out. No early return: an L1 writeback (setDirty) can
-            // land on a still-untouched prefetched L2 line, and such
-            // a victim is both a writeback and a useless prefetch.
-            owner_.buckets_[owner_.current_].traffic.add(
-                Traffic::Writeback, owner_.hierConfig_.l2.lineBytes);
-        }
-        if (!victim_was_untouched_prefetch)
-            return;
-        CoverageStats &s = owner_.buckets_[owner_.current_];
-        // The classification entry rides on the victim line; if a
-        // later prefetch moved the block's entry to L1D, consume it
-        // there (at most one entry exists per block).
-        std::uint8_t meta = victim_meta;
-        if (!(meta & LineMetaFetched))
-            meta = owner_.hier_.l1d().takeMeta(victim_addr);
-        if (meta & LineMetaFetched) {
-            if (meta & LineMetaOffChip) {
-                s.traffic.add(Traffic::IncorrectPrefetch,
-                              owner_.hierConfig_.l2.lineBytes);
-            }
-        }
-        s.uselessPrefetches++;
-        if (owner_.pred_)
-            owner_.bufferFeedback(victim_addr, true);
-    }
-
-  private:
-    TraceEngine &owner_;
-};
-
 TraceEngine::TraceEngine(const HierarchyConfig &hier_config,
                          Prefetcher *pred, std::uint32_t buckets)
     : hierConfig_(hier_config), hier_(hier_config), pred_(pred),
-      buckets_(buckets == 0 ? 1 : buckets),
-      l2Listener_(std::make_unique<L2Listener>(*this))
+      buckets_(buckets == 0 ? 1 : buckets)
 {
-    hier_.l1d().setListener(this);
-    hier_.l2().setListener(l2Listener_.get());
-}
-
-TraceEngine::~TraceEngine()
-{
-    hier_.l1d().setListener(nullptr);
-    hier_.l2().setListener(nullptr);
 }
 
 void
@@ -95,55 +36,59 @@ TraceEngine::stats(std::uint32_t bucket)
 }
 
 void
-TraceEngine::onEviction(Addr victim_addr, Addr incoming_addr,
-                        std::uint32_t set, bool by_prefetch,
-                        bool victim_was_untouched_prefetch,
-                        bool victim_dirty, std::uint8_t victim_meta)
+TraceEngine::l1Victim(const Victim &v, bool prefetch_fill)
 {
-    (void)incoming_addr;
-    (void)set;
     CoverageStats &s = buckets_[current_];
+    // The hierarchy wrote a dirty victim back into its L2 copy (free,
+    // on chip) when one was left; otherwise it goes off chip. Dirty
+    // victims are never untouched prefetches (prefetches fill clean).
+    if (v.writeback && !v.absorbed)
+        s.traffic.add(Traffic::Writeback, hierConfig_.l1d.lineBytes);
 
-    if (victim_dirty && hierConfig_.modelWritebacks) {
-        // The dirty L1 victim writes back into L2 (on-chip, free);
-        // only when L2 no longer holds the block does the writeback
-        // go off chip. Dirty victims are never untouched prefetches
-        // (prefetches fill clean), so the classification below is
-        // unaffected.
-        if (!hier_.l2().setDirty(victim_addr)) {
-            s.traffic.add(Traffic::Writeback,
-                          hierConfig_.l1d.lineBytes);
-        }
-    }
-
-    if (victim_was_untouched_prefetch) {
+    if (v.untouchedPrefetch) {
         // A prefetched block died unused: wrong replacement address.
         s.uselessPrefetches++;
-        std::uint8_t meta = victim_meta;
-        if (!(meta & LineMetaFetched))
-            meta = hier_.l2().takeMeta(victim_addr);
-        if (meta & LineMetaFetched) {
-            if (meta & LineMetaOffChip) {
-                s.traffic.add(Traffic::IncorrectPrefetch,
-                              hierConfig_.l1d.lineBytes);
-            }
-        }
+        if (fetchedOffChip(v.meta))
+            s.traffic.add(Traffic::IncorrectPrefetch,
+                          hierConfig_.l1d.lineBytes);
         if (pred_)
-            bufferFeedback(victim_addr, true);
-        return;
-    }
-
-    if (by_prefetch) {
+            bufferFeedback(v.addr, true);
+    } else if (prefetch_fill && v.evicted) {
         // A live block evicted by a prefetch fill: if it misses again
         // later, that miss is a premature ("early") eviction.
-        hier_.l1d().markEvicted(victim_addr);
+        hier_.l1d().markEvicted(v.addr);
     }
+}
+
+void
+TraceEngine::l2Victim(const Victim &v)
+{
+    CoverageStats &s = buckets_[current_];
+    // A dirty L2 victim crosses the chip boundary on its way out. It
+    // can also be a useless prefetch: an L1 writeback can land on a
+    // still-untouched prefetched L2 line.
+    if (v.writeback)
+        s.traffic.add(Traffic::Writeback, hierConfig_.l2.lineBytes);
+    if (!v.untouchedPrefetch)
+        return;
+    // A block prefetched into L2 (GHB/stride style) died unused. Its
+    // classification entry rides on the victim line unless a later
+    // L1 prefetch moved it to the L1 copy; at most one entry exists
+    // per block. The timing engine tracks usefulness through L1
+    // victims only, so this rule lives here, not in the hierarchy.
+    std::uint8_t meta = v.meta;
+    if (!(meta & LineMetaFetched))
+        meta = hier_.l1d().takeMeta(v.addr);
+    if (fetchedOffChip(meta))
+        s.traffic.add(Traffic::IncorrectPrefetch, hierConfig_.l2.lineBytes);
+    s.uselessPrefetches++;
+    if (pred_)
+        bufferFeedback(v.addr, true);
 }
 
 void
 TraceEngine::issuePrefetch(const PrefetchRequest &req)
 {
-    CoverageStats &s = buckets_[current_];
     const Addr block = hier_.l1d().blockAlign(req.target);
 
     // Under the dead-block-aware policy the prediction also feeds
@@ -173,24 +118,15 @@ TraceEngine::issuePrefetch(const PrefetchRequest &req)
                 bufferFeedback(req.target, true);
             return;
         }
-        // At most one classification entry per block: retire any
-        // stale L2-side entry before writing the L1 line's.
-        hier_.l2().takeMeta(block);
-        hier_.l1d().setMeta(block,
-                            LineMetaFetched |
-                                (out.l2Hit ? 0 : LineMetaOffChip));
+        l2Victim(out.l2Victim);
+        l1Victim(out.l1Victim, /*prefetch_fill=*/true);
         // The prefetch restored the block in time.
         hier_.l1d().clearEvictedMark(block);
-        if (out.l1Evicted && pred_)
-            pred_->onPrefetchEviction(out.l1VictimAddr, req.target);
+        if (out.l1Victim.evicted && pred_)
+            pred_->onPrefetchEviction(out.l1Victim.addr, req.target);
     } else {
         // Conventional prefetch: install into L2 only.
-        if (hier_.l2().probe(block))
-            return;
-        hier_.l2().fill(block);
-        hier_.l1d().takeMeta(block);
-        hier_.l2().setMeta(block, LineMetaFetched | LineMetaOffChip);
-        s.traffic.add(Traffic::BaseData, 0); // classified on outcome
+        l2Victim(hier_.prefetchL2(block).l2Victim);
     }
 }
 
@@ -245,27 +181,23 @@ TraceEngine::stepImpl(const MemRef &ref, Counters &c)
 
     const HierOutcome out =
         hier_.access<L1Assoc, L2Assoc, Policy>(ref.addr, ref.op);
-    const Addr block = hier_.l1d().blockAlign(ref.addr);
+    l1Victim(out.l1Victim, /*prefetch_fill=*/false);
+    l2Victim(out.l2Victim);
     const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
 
     if (out.l1Hit()) {
         if (out.l1HitOnPrefetch) {
-            // A miss eliminated by the predictor.
+            // A miss eliminated by the predictor. Charge the block
+            // transfer the demand fetch would have performed anyway.
             c.correct++;
-            // Charge the block transfer the demand fetch would have
-            // performed anyway. The access consumed the L1 line's
-            // classification entry; fall back to an L2-side entry.
-            std::uint8_t meta = out.l1Meta;
-            if (!(meta & LineMetaFetched))
-                meta = hier_.l2().takeMeta(block);
-            if ((meta & LineMetaFetched) && (meta & LineMetaOffChip))
+            if (fetchedOffChip(out.l1Meta))
                 c.baseBytes += line_bytes;
             if (pred_)
                 bufferFeedback(ref.addr, false);
         }
     } else {
         c.l1Misses++;
-        if (hier_.l1d().clearEvictedMark(block))
+        if (hier_.l1d().clearEvictedMark(ref.addr))
             c.early++;
         if (out.level == HitLevel::Memory) {
             c.l2Misses++;
@@ -273,10 +205,8 @@ TraceEngine::stepImpl(const MemRef &ref, Counters &c)
         } else if (out.l2HitOnPrefetch) {
             // L2 prefetch (GHB-style) turned an off-chip miss into an
             // L2 hit: account its off-chip transfer as base data.
-            if ((out.l2Meta & LineMetaFetched) &&
-                (out.l2Meta & LineMetaOffChip)) {
+            if (fetchedOffChip(out.l2Meta))
                 c.baseBytes += line_bytes;
-            }
             if (pred_)
                 bufferFeedback(ref.addr, false);
         }
@@ -342,15 +272,12 @@ TraceEngine::runTenants(std::span<const TenantSlot> tenants,
             }
             // Predictor-less, stepImpl degenerates to counting hits
             // and misses: the caches' counters live in BaselineCursors
-            // for the whole schedule and the hierarchy's are
-            // reconciled from them afterwards, so the inner loop is
-            // loads, compares and register increments only.
+            // for the whole schedule, so the inner loop is loads,
+            // compares and register increments only.
             Cache &l1 = hier_.l1d();
             Cache &l2 = hier_.l2();
-            const Cache::BaselineCursor start1 = l1.baselineCursor();
-            const Cache::BaselineCursor start2 = l2.baselineCursor();
-            Cache::BaselineCursor c1 = start1;
-            Cache::BaselineCursor c2 = start2;
+            Cache::BaselineCursor c1 = l1.baselineCursor();
+            Cache::BaselineCursor c2 = l2.baselineCursor();
             const std::uint32_t line_bytes = hierConfig_.l1d.lineBytes;
             const std::uint64_t consumed = runQuanta(
                 tenants, schedule, select_tenants,
@@ -369,9 +296,6 @@ TraceEngine::runTenants(std::span<const TenantSlot> tenants,
                 });
             l1.commitBaseline(c1);
             l2.commitBaseline(c2);
-            hier_.noteBaselineBatch(c1.accesses - start1.accesses,
-                                    c1.misses - start1.misses,
-                                    c2.misses - start2.misses);
             return consumed;
         });
     maybeAudit();

@@ -27,7 +27,6 @@
 #define LTC_SIM_TRACE_ENGINE_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -97,7 +96,7 @@ struct CoverageStats
 };
 
 /** The trace-driven coverage engine (see the file comment). */
-class TraceEngine : public CacheListener
+class TraceEngine
 {
   public:
     /**
@@ -108,8 +107,6 @@ class TraceEngine : public CacheListener
      */
     TraceEngine(const HierarchyConfig &hier_config, Prefetcher *pred,
                 std::uint32_t buckets = 1);
-    /** Detaches the engine from the hierarchy's listener list. */
-    ~TraceEngine() override;
 
     TraceEngine(const TraceEngine &) = delete;            //!< non-copyable
     TraceEngine &operator=(const TraceEngine &) = delete; //!< non-copyable
@@ -189,13 +186,6 @@ class TraceEngine : public CacheListener
     /** The attached predictor (null for baseline runs). */
     Prefetcher *predictor() { return pred_; }
 
-    /** CacheListener: classifies L1D eviction events. */
-    void onEviction(Addr victim_addr, Addr incoming_addr,
-                    std::uint32_t set, bool by_prefetch,
-                    bool victim_was_untouched_prefetch,
-                    bool victim_dirty,
-                    std::uint8_t victim_meta) override;
-
     /**
      * Audit both caches and the attached predictor (see
      * Cache::auditInvariants). run() and runSchedule() call this
@@ -216,6 +206,21 @@ class TraceEngine : public CacheListener
 
     void issuePrefetch(const PrefetchRequest &req);
     void drainPredictor();
+
+    /**
+     * Classify an L1D victim into the current bucket: writeback and
+     * incorrect-prefetch traffic, useless prefetches (with predictor
+     * feedback), and — when @p prefetch_fill, the eviction of a live
+     * block by a prefetch fill — an early-eviction mark.
+     */
+    void l1Victim(const Victim &v, bool prefetch_fill);
+
+    /**
+     * Classify an L2 victim into the current bucket: writeback
+     * traffic and, for a block an L2-only prefetch brought in unused,
+     * incorrect-prefetch traffic, a useless prefetch and feedback.
+     */
+    void l2Victim(const Victim &v);
 
     /** Queue one feedback event for the next flushFeedback(). */
     void
@@ -247,11 +252,11 @@ class TraceEngine : public CacheListener
 
     /**
      * The loop-owned CoverageStats counters. They are disjoint from
-     * everything the eviction listeners and drainPredictor() write
-     * into the bucket (useless prefetches, incorrect, writeback and
-     * sequence traffic), so they stay register-resident for a whole
-     * quantum and fold into the bucket once (commit) without
-     * reordering any observable event.
+     * everything the victim handlers (l1Victim, l2Victim) and
+     * drainPredictor() write into the bucket (useless prefetches,
+     * incorrect, writeback and sequence traffic), so they stay
+     * register-resident for a whole quantum and fold into the bucket
+     * once (commit) without reordering any observable event.
      */
     struct Counters
     {
@@ -316,9 +321,6 @@ class TraceEngine : public CacheListener
     RefPuller puller_; //!< pull buffer shared by every tenant
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
     std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
-    /** Listener adapter for L2 (classifies GHB-style L2 prefetches). */
-    class L2Listener;
-    std::unique_ptr<L2Listener> l2Listener_;
 };
 
 /**

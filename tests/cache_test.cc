@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "cache/cache.hh"
 #include "cache/cache_config.hh"
 #include "cache/set_scan.hh"
@@ -28,31 +26,6 @@ tinyConfig(std::uint32_t assoc = 2, ReplPolicy policy = ReplPolicy::LRU)
     c.policy = policy;
     return c;
 }
-
-/** Listener capturing eviction events. */
-struct Recorder : CacheListener
-{
-    struct Event
-    {
-        Addr victim;
-        Addr incoming;
-        std::uint32_t set;
-        bool byPrefetch;
-        bool victimUntouched;
-        bool victimDirty;
-        std::uint8_t victimMeta;
-    };
-    std::vector<Event> events;
-
-    void
-    onEviction(Addr victim, Addr incoming, std::uint32_t set,
-               bool by_prefetch, bool untouched, bool dirty,
-               std::uint8_t victim_meta) override
-    {
-        events.push_back({victim, incoming, set, by_prefetch,
-                          untouched, dirty, victim_meta});
-    }
-};
 
 TEST(CacheConfigTest, GeometryHelpers)
 {
@@ -204,20 +177,16 @@ TEST(CacheTest, ShipAndDrripSweepNeverCorruptState)
 TEST(CacheTest, VictimDirtySurfacedOnEviction)
 {
     Cache c(tinyConfig());
-    Recorder rec;
-    c.setListener(&rec);
     c.access(0x0000, MemOp::Store); // A, dirtied
     c.access(0x0100, MemOp::Load);  // B, clean
     auto out = c.access(0x0200, MemOp::Load); // evicts dirty A
     EXPECT_TRUE(out.evicted);
+    EXPECT_EQ(out.victimAddr, 0x0000u);
     EXPECT_TRUE(out.victimDirty);
     auto out2 = c.access(0x0300, MemOp::Load); // evicts clean B
     EXPECT_TRUE(out2.evicted);
+    EXPECT_EQ(out2.victimAddr, 0x0100u);
     EXPECT_FALSE(out2.victimDirty);
-    ASSERT_EQ(rec.events.size(), 2u);
-    EXPECT_TRUE(rec.events[0].victimDirty);
-    EXPECT_FALSE(rec.events[1].victimDirty);
-    c.setListener(nullptr);
 }
 
 TEST(CacheTest, SetDirtyMarksResidentBlocksOnly)
@@ -234,20 +203,19 @@ TEST(CacheTest, SetDirtyMarksResidentBlocksOnly)
     EXPECT_TRUE(out.victimDirty);
 }
 
-TEST(CacheTest, ListenerSeesEvictions)
+TEST(CacheTest, OutcomeReportsEvictions)
 {
     Cache c(tinyConfig());
-    Recorder rec;
-    c.setListener(&rec);
-    c.access(0x0000, MemOp::Load);
-    c.access(0x0100, MemOp::Load);
-    c.access(0x0200, MemOp::Load); // evicts 0x0000 (LRU)
-    ASSERT_EQ(rec.events.size(), 1u);
-    EXPECT_EQ(rec.events[0].victim, 0x0000u);
-    EXPECT_EQ(rec.events[0].incoming, 0x0200u);
-    EXPECT_EQ(rec.events[0].set, 0u);
-    EXPECT_FALSE(rec.events[0].byPrefetch);
-    c.setListener(nullptr);
+    EXPECT_FALSE(c.access(0x0000, MemOp::Load).evicted);
+    EXPECT_FALSE(c.access(0x0100, MemOp::Load).evicted);
+    auto out = c.access(0x0200, MemOp::Load); // evicts 0x0000 (LRU)
+    EXPECT_TRUE(out.evicted);
+    EXPECT_EQ(out.victimAddr, 0x0000u);
+    EXPECT_EQ(out.set, 0u);
+    EXPECT_FALSE(out.victimDirty);
+    EXPECT_FALSE(out.victimUntouchedPrefetch);
+    EXPECT_EQ(out.victimMeta, 0u);
+    EXPECT_EQ(c.evictions(), 1u);
 }
 
 TEST(CacheTest, FillReplacingEvictsPredictedVictim)
@@ -304,17 +272,22 @@ TEST(CacheTest, UnmarkedFillIsNotUntouchedPrefetch)
     EXPECT_FALSE(c.isUntouchedPrefetch(0x0000));
 }
 
-TEST(CacheTest, ListenerReportsUntouchedPrefetchVictim)
+TEST(CacheTest, OutcomeReportsUntouchedPrefetchVictim)
 {
     Cache c(tinyConfig(2));
-    Recorder rec;
-    c.setListener(&rec);
-    c.fill(0x0000);                // prefetched, never touched
+    c.fill(0x0000); // prefetched, never touched
+    EXPECT_TRUE(c.setMeta(0x0000, LineMetaFetched | LineMetaOffChip));
     c.access(0x0100, MemOp::Load); // B
-    c.access(0x0200, MemOp::Load); // evicts prefetched A
-    ASSERT_FALSE(rec.events.empty());
-    EXPECT_TRUE(rec.events.back().victimUntouched);
-    c.setListener(nullptr);
+    auto out = c.access(0x0200, MemOp::Load); // evicts prefetched A
+    EXPECT_TRUE(out.evicted);
+    EXPECT_EQ(out.victimAddr, 0x0000u);
+    EXPECT_TRUE(out.victimUntouchedPrefetch);
+    EXPECT_EQ(out.victimMeta, LineMetaFetched | LineMetaOffChip);
+    // A prefetch fill reports its victim the same way.
+    out = c.fill(0x0300);
+    EXPECT_TRUE(out.evicted);
+    EXPECT_EQ(out.victimAddr, 0x0100u);
+    EXPECT_FALSE(out.victimUntouchedPrefetch);
 }
 
 TEST(CacheTest, InvalidateAndFlush)

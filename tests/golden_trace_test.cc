@@ -327,8 +327,8 @@ const WritebackGolden kWritebackGolden = {
  * Predictor-less writeback expectations (exact): the trace engine with
  * no predictor and modelWritebacks on, over a generated workload whose
  * dirty L2 victims leave the chip. Pins the predictor-less run that
- * cannot take the trimmed baseline body (the body bypasses the
- * eviction listeners that charge writebacks).
+ * cannot take the trimmed baseline body (the body reports no
+ * victims, so it cannot charge writebacks).
  */
 struct BaselineWritebackGolden
 {
@@ -398,8 +398,8 @@ class MixedPrefetcher : public Prefetcher
             PrefetchRequest req;
             req.target = block + (1 + rng_.below(16)) * lineBytes_;
             req.intoL1 = true;
-            if (out.l1Evicted && rng_.below(2) == 0)
-                req.predictedVictim = out.l1VictimAddr;
+            if (out.l1Victim.evicted && rng_.below(2) == 0)
+                req.predictedVictim = out.l1Victim.addr;
             enqueue(req);
         }
         if (rng_.below(6) == 0) {

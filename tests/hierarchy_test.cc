@@ -30,9 +30,9 @@ TEST(HierarchyTest, MissGoesToMemoryThenHits)
     EXPECT_EQ(out.level, HitLevel::Memory);
     out = hier.access(0x1000, MemOp::Load);
     EXPECT_EQ(out.level, HitLevel::L1);
-    EXPECT_EQ(hier.accesses(), 2u);
-    EXPECT_EQ(hier.l1Misses(), 1u);
-    EXPECT_EQ(hier.l2Misses(), 1u);
+    EXPECT_EQ(hier.l1d().accesses(), 2u);
+    EXPECT_EQ(hier.l1d().misses(), 1u);
+    EXPECT_EQ(hier.l2().misses(), 1u);
 }
 
 TEST(HierarchyTest, L2HitAfterL1Eviction)
@@ -53,9 +53,10 @@ TEST(HierarchyTest, VictimReported)
     hier.access(0x0000, MemOp::Load);
     hier.access(0x0400, MemOp::Load);
     auto out = hier.access(0x0800, MemOp::Load);
-    EXPECT_TRUE(out.l1Evicted);
-    EXPECT_EQ(out.l1VictimAddr, 0x0000u);
+    EXPECT_TRUE(out.l1Victim.evicted);
+    EXPECT_EQ(out.l1Victim.addr, 0x0000u);
     EXPECT_EQ(out.l1Set, 0u);
+    EXPECT_FALSE(out.l2Victim.evicted);
 }
 
 TEST(HierarchyTest, PerfectL1AlwaysHits)
@@ -67,7 +68,7 @@ TEST(HierarchyTest, PerfectL1AlwaysHits)
         auto out = hier.access(a * 64, MemOp::Load);
         EXPECT_EQ(out.level, HitLevel::L1);
     }
-    EXPECT_EQ(hier.l1Misses(), 0u);
+    EXPECT_EQ(hier.l1d().misses(), 0u);
 }
 
 TEST(HierarchyTest, PrefetchInstallsIntoBothLevels)
@@ -100,8 +101,8 @@ TEST(HierarchyTest, PrefetchReplacesPredictedVictim)
     hier.access(0x0000, MemOp::Load);
     hier.access(0x0400, MemOp::Load); // 0x0000 is LRU
     auto pf = hier.prefetch(0x0800, 0x0400);
-    EXPECT_TRUE(pf.l1Evicted);
-    EXPECT_EQ(pf.l1VictimAddr, 0x0400u);
+    EXPECT_TRUE(pf.l1Victim.evicted);
+    EXPECT_EQ(pf.l1Victim.addr, 0x0400u);
     EXPECT_TRUE(hier.l1d().probe(0x0000)); // LRU survived
 }
 
@@ -122,6 +123,167 @@ TEST(HierarchyTest, PrefetchSeesL2Hit)
     auto pf = hier.prefetch(0x0000, invalidAddr);
     EXPECT_FALSE(pf.alreadyInL1);
     EXPECT_TRUE(pf.l2Hit);
+}
+
+// ------------------------------------- cross-level victim rules
+//
+// smallHier() geometry: blocks 0, 4 and 8 share L1 set 0 but sit in
+// L2 sets 0, 4 and 8; blocks 0, 16, 32, ... share set 0 of both.
+
+constexpr Addr kA = 0x0000;  // block 0: L1 set 0, L2 set 0
+constexpr Addr kB = 0x0100;  // block 4: L1 set 0, L2 set 4
+constexpr Addr kC = 0x0200;  // block 8: L1 set 0, L2 set 8
+constexpr std::uint8_t kOffChipEntry = LineMetaFetched | LineMetaOffChip;
+
+/**
+ * Push @p block out of L2 with direct L2 accesses to its set (L1 is
+ * left alone); returns the outcome of the access that evicted it.
+ */
+CacheOutcome
+evictFromL2(CacheHierarchy &hier, Addr block)
+{
+    const Cache &l2 = hier.l2();
+    const Addr stride =
+        static_cast<Addr>(l2.config().numSets()) * l2.config().lineBytes;
+    for (std::uint32_t i = 1; i <= l2.config().assoc; i++) {
+        const CacheOutcome out =
+            hier.l2().access(block + i * stride, MemOp::Load);
+        if (out.evicted && out.victimAddr == block)
+            return out;
+    }
+    ADD_FAILURE() << "block " << block << " was not evicted from L2";
+    return {};
+}
+
+/** A stored-to block whose L2 copy is clean: load, then store. */
+void
+dirtyInL1Only(CacheHierarchy &hier, Addr block)
+{
+    hier.access(block, MemOp::Load);
+    EXPECT_TRUE(hier.access(block, MemOp::Store).l1Hit());
+}
+
+TEST(HierarchyTest, DirtyL1VictimWritesBackIntoL2Copy)
+{
+    HierarchyConfig cfg = smallHier();
+    cfg.modelWritebacks = true;
+    CacheHierarchy hier(cfg);
+    dirtyInL1Only(hier, kA);
+    hier.access(kB, MemOp::Load);
+    const HierOutcome out = hier.access(kC, MemOp::Load);
+    EXPECT_TRUE(out.l1Victim.evicted);
+    EXPECT_EQ(out.l1Victim.addr, kA);
+    EXPECT_TRUE(out.l1Victim.writeback);
+    EXPECT_TRUE(out.l1Victim.absorbed);
+    EXPECT_FALSE(out.l2Victim.evicted);
+    // The L2 copy took the writeback: it leaves dirty.
+    EXPECT_TRUE(evictFromL2(hier, kA).victimDirty);
+}
+
+TEST(HierarchyTest, DirtyL1VictimWithoutL2CopyGoesOffChip)
+{
+    HierarchyConfig cfg = smallHier();
+    cfg.modelWritebacks = true;
+    CacheHierarchy hier(cfg);
+    dirtyInL1Only(hier, kA);
+    const CacheOutcome l2 = evictFromL2(hier, kA);
+    EXPECT_FALSE(l2.victimDirty); // the L2 copy was clean
+    EXPECT_TRUE(hier.l1d().probe(kA));
+    hier.access(kB, MemOp::Load);
+    const HierOutcome out = hier.access(kC, MemOp::Load);
+    EXPECT_EQ(out.l1Victim.addr, kA);
+    EXPECT_TRUE(out.l1Victim.writeback);
+    EXPECT_FALSE(out.l1Victim.absorbed);
+}
+
+TEST(HierarchyTest, WritebacksOffLeaveL2CopyClean)
+{
+    CacheHierarchy hier(smallHier());
+    dirtyInL1Only(hier, kA);
+    hier.access(kB, MemOp::Load);
+    const HierOutcome out = hier.access(kC, MemOp::Load);
+    EXPECT_EQ(out.l1Victim.addr, kA);
+    EXPECT_FALSE(out.l1Victim.writeback);
+    EXPECT_FALSE(out.l1Victim.absorbed);
+    EXPECT_FALSE(evictFromL2(hier, kA).victimDirty);
+}
+
+/**
+ * An untouched L1 prefetch of @p block whose classification entry an
+ * L2-only prefetch moved to the (re-installed) L2 copy.
+ */
+void
+entryOnL2Copy(CacheHierarchy &hier, Addr block)
+{
+    EXPECT_FALSE(hier.prefetch(block, invalidAddr).alreadyInL1);
+    evictFromL2(hier, block);
+    const PrefetchOutcome pf = hier.prefetchL2(block);
+    EXPECT_FALSE(pf.l2Hit);
+    EXPECT_TRUE(hier.l1d().isUntouchedPrefetch(block));
+    EXPECT_TRUE(hier.l2().isUntouchedPrefetch(block));
+}
+
+TEST(HierarchyTest, UntouchedL1VictimTakesL2CopysEntry)
+{
+    CacheHierarchy hier(smallHier());
+    entryOnL2Copy(hier, kA);
+    hier.access(kB, MemOp::Load);
+    const HierOutcome out = hier.access(kC, MemOp::Load);
+    EXPECT_EQ(out.l1Victim.addr, kA);
+    EXPECT_TRUE(out.l1Victim.untouchedPrefetch);
+    EXPECT_EQ(out.l1Victim.meta, kOffChipEntry);
+    // Taken, not copied: at most one entry per block.
+    EXPECT_TRUE(hier.l2().probe(kA));
+    EXPECT_EQ(hier.l2().takeMeta(kA), 0u);
+}
+
+TEST(HierarchyTest, L1PrefetchHitTakesL2CopysEntry)
+{
+    CacheHierarchy hier(smallHier());
+    entryOnL2Copy(hier, kA);
+    const HierOutcome out = hier.access(kA, MemOp::Load);
+    EXPECT_TRUE(out.l1Hit());
+    EXPECT_TRUE(out.l1HitOnPrefetch);
+    EXPECT_EQ(out.l1Meta, kOffChipEntry);
+    EXPECT_EQ(hier.l2().takeMeta(kA), 0u);
+}
+
+TEST(HierarchyTest, PrefetchReportsBothVictims)
+{
+    CacheHierarchy hier(smallHier());
+    // Blocks 0, 16, 32, 48 fill L2 set 0; L1 set 0 keeps the last two.
+    for (Addr a : {0x0000, 0x0400, 0x0800, 0x0c00})
+        hier.access(a, MemOp::Load);
+    const PrefetchOutcome pf = hier.prefetch(0x1000, invalidAddr);
+    EXPECT_FALSE(pf.alreadyInL1);
+    EXPECT_FALSE(pf.l2Hit);
+    EXPECT_TRUE(pf.l2Victim.evicted); // the waypoint install's victim
+    EXPECT_EQ(pf.l2Victim.addr, 0x0000u);
+    EXPECT_FALSE(pf.l2Victim.untouchedPrefetch);
+    EXPECT_TRUE(pf.l1Victim.evicted);
+    EXPECT_EQ(pf.l1Victim.addr, 0x0800u);
+    // The block's entry sits on the L1 line: fetched off chip.
+    EXPECT_EQ(hier.l1d().takeMeta(0x1000), kOffChipEntry);
+    EXPECT_EQ(hier.l2().takeMeta(0x1000), 0u);
+}
+
+TEST(HierarchyTest, PrefetchL2InstallsOffChipEntryUnlessResident)
+{
+    CacheHierarchy hier(smallHier());
+    hier.access(kA, MemOp::Load);
+    PrefetchOutcome pf = hier.prefetchL2(kA);
+    EXPECT_TRUE(pf.l2Hit);
+    EXPECT_FALSE(pf.l2Victim.evicted);
+    EXPECT_FALSE(hier.l2().isUntouchedPrefetch(kA));
+    EXPECT_EQ(hier.l2().takeMeta(kA), 0u);
+
+    pf = hier.prefetchL2(kB);
+    EXPECT_FALSE(pf.alreadyInL1);
+    EXPECT_FALSE(pf.l2Hit);
+    EXPECT_FALSE(pf.l1Victim.evicted);
+    EXPECT_FALSE(hier.l1d().probe(kB));
+    EXPECT_TRUE(hier.l2().isUntouchedPrefetch(kB));
+    EXPECT_EQ(hier.l2().takeMeta(kB), kOffChipEntry);
 }
 
 TEST(HierarchyTest, FlushEmptiesBothLevels)
