@@ -248,6 +248,55 @@ TEST(HierarchyTest, L1PrefetchHitTakesL2CopysEntry)
     EXPECT_EQ(hier.l2().takeMeta(kA), 0u);
 }
 
+/**
+ * The L1-side rules run between the L1 and L2 steps: when one access
+ * evicts a block from L1 and its L2 copy from L2, the L2 copy must
+ * first absorb the L1 victim's writeback, which then leaves with it.
+ */
+TEST(HierarchyTest, DirtyL1VictimAbsorbedBeforeL2StepEvictsCopy)
+{
+    HierarchyConfig cfg = smallHier();
+    cfg.modelWritebacks = true;
+    CacheHierarchy hier(cfg);
+    dirtyInL1Only(hier, kA);
+    // Blocks 16, 32, 48 fill L2 set 0 behind A's copy; re-touching A
+    // (an L1 hit, which L2 never sees) keeps it in L1 until the last.
+    for (Addr a : {0x0400, 0x0800}) {
+        hier.access(a, MemOp::Load);
+        EXPECT_TRUE(hier.access(kA, MemOp::Load).l1Hit());
+    }
+    hier.access(0x0c00, MemOp::Load);
+    // Block 64 evicts A from L1 and A's copy from L2.
+    const HierOutcome out = hier.access(0x1000, MemOp::Load);
+    EXPECT_EQ(out.l1Victim.addr, kA);
+    EXPECT_TRUE(out.l1Victim.writeback);
+    EXPECT_TRUE(out.l1Victim.absorbed);
+    EXPECT_EQ(out.l2Victim.addr, kA);
+    EXPECT_TRUE(out.l2Victim.writeback);
+}
+
+/**
+ * Likewise for the entry fallback: the untouched L1 victim takes its
+ * L2 copy's entry before the same access's L2 step evicts that copy.
+ */
+TEST(HierarchyTest, UntouchedL1VictimTakesEntryBeforeL2StepEvictsCopy)
+{
+    CacheHierarchy hier(smallHier());
+    entryOnL2Copy(hier, kA);
+    // Age A's L2 copy to least recent with direct L2 accesses to its
+    // set, then give A an L1 set-mate so it is least recent there too.
+    for (Addr a : {0x1400, 0x1800, 0x1c00})
+        hier.l2().access(a, MemOp::Load);
+    hier.access(kB, MemOp::Load);
+    const HierOutcome out = hier.access(0x2000, MemOp::Load);
+    EXPECT_EQ(out.l1Victim.addr, kA);
+    EXPECT_TRUE(out.l1Victim.untouchedPrefetch);
+    EXPECT_EQ(out.l1Victim.meta, kOffChipEntry);
+    EXPECT_EQ(out.l2Victim.addr, kA);
+    EXPECT_TRUE(out.l2Victim.untouchedPrefetch);
+    EXPECT_EQ(out.l2Victim.meta, 0u);
+}
+
 TEST(HierarchyTest, PrefetchReportsBothVictims)
 {
     CacheHierarchy hier(smallHier());
