@@ -24,42 +24,28 @@ Cache::Cache(const CacheConfig &config) : config_(config)
 }
 
 CacheOutcome
-Cache::fillReplacing(Addr addr, Addr predicted_victim)
+Cache::fill(Addr addr, Addr predicted_victim, std::uint8_t meta)
 {
+    const std::uint32_t set = setIndex(addr);
     if (findIndex(addr) != noWay) {
         CacheOutcome out;
         out.hit = true;
-        out.set = setIndex(addr);
+        out.set = set;
         return out;
     }
     prefetchFills_++;
-    const std::uint64_t tag = tagOf(addr);
-    const std::uint32_t set = setIndex(addr);
 
-    if (setIndex(predicted_victim) == set) {
-        const std::size_t victim = findIndex(predicted_victim);
-        if (victim != noWay) {
-            const std::uint32_t way = static_cast<std::uint32_t>(
-                victim - static_cast<std::size_t>(set) * config_.assoc);
-            return insert(tag, set, way, true, false);
-        }
-    }
-    return insert(tag, set, victimWay(set), true, false);
-}
-
-CacheOutcome
-Cache::fill(Addr addr, bool mark_prefetched)
-{
-    if (findIndex(addr) != noWay) {
-        CacheOutcome out;
-        out.hit = true;
-        out.set = setIndex(addr);
-        return out;
-    }
-    prefetchFills_++;
-    const std::uint32_t set = setIndex(addr);
-    return insert(tagOf(addr), set, victimWay(set), mark_prefetched,
-                  false);
+    const std::size_t victim = predicted_victim != invalidAddr &&
+            setIndex(predicted_victim) == set
+        ? findIndex(predicted_victim)
+        : noWay;
+    const std::uint32_t way = victim != noWay
+        ? static_cast<std::uint32_t>(
+              victim - static_cast<std::size_t>(set) * config_.assoc)
+        : victimWay(set);
+    const std::uint64_t status = (meta ? linePrefetched : 0) |
+        (static_cast<std::uint64_t>(meta & 0x3) << lineMetaShift);
+    return insert(tagOf(addr), set, way, status);
 }
 
 bool
@@ -81,17 +67,6 @@ Cache::flush()
     // the engines' side tables always did.
     std::fill(tagFlags_.begin(), tagFlags_.end(), 0);
     std::fill(stamps_.begin(), stamps_.end(), 0);
-}
-
-bool
-Cache::setMeta(Addr addr, std::uint8_t meta)
-{
-    const std::size_t idx = findIndex(addr);
-    if (idx == noWay)
-        return false;
-    tagFlags_[idx] = (tagFlags_[idx] & ~lineMetaMask) |
-        (static_cast<std::uint64_t>(meta & 0x3) << lineMetaShift);
-    return true;
 }
 
 std::uint8_t

@@ -182,25 +182,22 @@ class Cache
     bool accessBaseline(Addr addr, MemOp op, BaselineCursor &cur);
 
     /**
-     * Prefetch fill that replaces @p predicted_victim if that block is
-     * resident in the target set; otherwise the policy victim is
-     * evicted. Filling an already-resident block is a no-op (reported
-     * as hit).
+     * Prefetch fill: install @p addr over @p predicted_victim if that
+     * block is resident in the target set, else over the policy
+     * victim (invalidAddr = no prediction). The line is written with
+     * its classification entry @p meta (LineMeta* bits) and, when
+     * @p meta is non-zero, flagged as an untouched prefetch: the level
+     * that holds a block's entry is the level that tracks its
+     * usefulness, and a waypoint install passes 0 for neither. An
+     * already-resident block is reported as a hit and its line is
+     * left unchanged.
      */
-    CacheOutcome fillReplacing(Addr addr, Addr predicted_victim);
+    CacheOutcome fill(Addr addr, Addr predicted_victim, std::uint8_t meta);
 
     /**
-     * Prefetch fill using the normal replacement victim.
-     * @param mark_prefetched Track the line as an untouched prefetch
-     *        (usefulness accounting). Pass false when this cache is
-     *        only a waypoint and another level tracks usefulness
-     *        (e.g. the L2 install of an L1-directed prefetch).
-     */
-    CacheOutcome fill(Addr addr, bool mark_prefetched = true);
-
-    /**
-     * Non-mutating residence check. Inline: the timing engine's
-     * prefetch enqueue/issue filters probe both levels per request.
+     * Non-mutating residence check. Inline: it runs per prefetch
+     * request, in the timing engine's enqueue and drain filter and in
+     * CacheHierarchy::prefetch's L1D check.
      */
     bool probe(Addr addr) const { return findIndex(addr) != noWay; }
 
@@ -237,12 +234,6 @@ class Cache
      * revived block is spared and the policy picks the victim.
      */
     bool isDead(Addr addr) const;
-
-    /**
-     * Overwrite the engine-owned metadata bits of @p addr's line.
-     * No-op when the block is not resident; returns whether it was.
-     */
-    bool setMeta(Addr addr, std::uint8_t meta);
 
     /**
      * Read and clear the engine-owned metadata bits of @p addr's
@@ -383,10 +374,11 @@ class Cache
      *  @tparam Policy PolicyAuto or the configured policy's plugin. */
     template <std::uint32_t StaticAssoc = 0, typename Policy = PolicyAuto>
     std::uint32_t victimWay(std::uint32_t set);
+    /** Install @p tag in @p way of @p set with the status bits
+     *  @p status (lineDirty, linePrefetched, LineMeta* entry). */
     template <typename Policy = PolicyAuto>
     CacheOutcome insert(std::uint64_t tag, std::uint32_t set,
-                        std::uint32_t way, bool mark_prefetched,
-                        bool dirty);
+                        std::uint32_t way, std::uint64_t status);
 
     CacheConfig config_;
     unsigned lineBits_;
@@ -497,12 +489,11 @@ Cache::victimWay(std::uint32_t set)
 template <typename Policy>
 inline CacheOutcome
 Cache::insert(std::uint64_t tag, std::uint32_t set, std::uint32_t way,
-              bool mark_prefetched, bool dirty)
+              std::uint64_t status)
 {
     if constexpr (std::is_same_v<Policy, PolicyAuto>) {
         return withPolicy(config_.policy, [&](auto pol) {
-            return insert<decltype(pol)>(tag, set, way, mark_prefetched,
-                                         dirty);
+            return insert<decltype(pol)>(tag, set, way, status);
         });
     } else {
         const std::size_t idx =
@@ -520,9 +511,7 @@ Cache::insert(std::uint64_t tag, std::uint32_t set, std::uint32_t way,
             evictions_++;
             Policy::onEvict(old, policyState_);
         }
-        tagFlags_[idx] = (tag << tagShift) | lineValid |
-            (dirty ? lineDirty : 0) |
-            (mark_prefetched ? linePrefetched : 0) |
+        tagFlags_[idx] = (tag << tagShift) | lineValid | status |
             Policy::insertBits(tag, set, policyState_);
         stamps_[idx] = ++stamp_;
         return out;
@@ -570,8 +559,8 @@ Cache::access(Addr addr, MemOp op)
 
         misses_++;
         return insert<Policy>(tag, set,
-                              victimWay<StaticAssoc, Policy>(set), false,
-                              op == MemOp::Store);
+                              victimWay<StaticAssoc, Policy>(set),
+                              op == MemOp::Store ? lineDirty : 0);
     }
 }
 

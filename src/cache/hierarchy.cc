@@ -38,19 +38,19 @@ CacheHierarchy::prefetch(Addr addr, Addr predicted_victim)
     }
 
     // Data passes through (and installs into) L2 on its way in; a
-    // resident L2 copy makes the prefetch an on-chip transfer.
-    out.l2Hit = l2_.probe(addr);
-    if (!out.l2Hit) {
-        // Waypoint install: the L1 copy tracks usefulness, so the L2
-        // line must not be flagged as an untouched prefetch.
-        out.l2Victim = victimOf(l2_.fill(addr, /*mark_prefetched=*/false));
-    }
-
-    out.l1Victim = l1VictimOf(l1d_.fillReplacing(addr, predicted_victim));
-    // At most one classification entry per block: retire any stale
-    // L2-side entry before writing the L1 line's.
-    l2_.takeMeta(addr);
-    l1d_.setMeta(addr, LineMetaFetched | (out.l2Hit ? 0 : LineMetaOffChip));
+    // resident L2 copy makes the prefetch an on-chip transfer. The
+    // waypoint install carries no entry and no untouched flag: the L1
+    // copy tracks usefulness.
+    const CacheOutcome l2 = l2_.fill(addr, invalidAddr, 0);
+    out.l2Hit = l2.hit;
+    out.l2Victim = victimOf(l2);
+    // At most one classification entry per block: a resident L2 copy
+    // may hold a stale one from an L2-only prefetch; retire it.
+    if (out.l2Hit)
+        l2_.takeMeta(addr);
+    out.l1Victim = l1VictimOf(l1d_.fill(
+        addr, predicted_victim,
+        LineMetaFetched | (out.l2Hit ? 0 : LineMetaOffChip)));
     return out;
 }
 
@@ -58,12 +58,14 @@ PrefetchOutcome
 CacheHierarchy::prefetchL2(Addr addr)
 {
     PrefetchOutcome out;
-    out.l2Hit = l2_.probe(addr);
-    if (out.l2Hit)
-        return out;
-    out.l2Victim = victimOf(l2_.fill(addr));
-    l1d_.takeMeta(addr);
-    l2_.setMeta(addr, LineMetaFetched | LineMetaOffChip);
+    const CacheOutcome l2 =
+        l2_.fill(addr, invalidAddr, LineMetaFetched | LineMetaOffChip);
+    out.l2Hit = l2.hit;
+    out.l2Victim = victimOf(l2);
+    // The installed L2 line now holds the block's entry; retire the
+    // L1 copy's, if any.
+    if (!out.l2Hit)
+        l1d_.takeMeta(addr);
     return out;
 }
 

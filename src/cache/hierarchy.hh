@@ -230,7 +230,9 @@ class CacheHierarchy
     /**
      * Prefetch @p addr into L1D replacing @p predicted_victim, and
      * install into L2 on the way. The block's classification entry
-     * moves to the L1 line (off chip unless L2 held the block).
+     * moves to the L1 line (off chip unless L2 held the block). A
+     * block already in L1D, which under perfectL1 is every block, is
+     * reported as alreadyInL1 and neither level changes.
      */
     PrefetchOutcome prefetch(Addr addr, Addr predicted_victim);
 

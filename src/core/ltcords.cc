@@ -235,15 +235,6 @@ LtCords::feedback(const PrefetchFeedback &fb)
     storage_.updateConfidence(ptr.frame, ptr.offset, conf);
 }
 
-void
-LtCords::feedbackBatch(const PrefetchFeedback *fbs, std::size_t n)
-{
-    // One virtual call per engine drain instead of one per outcome;
-    // the per-event work is identical to feedback() by construction.
-    for (std::size_t i = 0; i < n; i++)
-        feedback(fbs[i]);
-}
-
 std::pair<std::uint64_t, std::uint64_t>
 LtCords::drainMetaTraffic()
 {

@@ -49,13 +49,6 @@ class LtCords : public Prefetcher
                             Addr incoming_addr) override;
     /** Prefetch outcome feedback: drives confidence updates. */
     void feedback(const PrefetchFeedback &fb) override;
-    /**
-     * Batched feedback: one virtual call for a whole engine drain
-     * (the engines buffer outcome events and flush them at the two
-     * ordering points of each reference; see Prefetcher).
-     */
-    void feedbackBatch(const PrefetchFeedback *fbs,
-                       std::size_t n) override;
     /** Advance the engine's notion of time (latency modelling). */
     void setNow(Cycle now) override;
     /**

@@ -73,15 +73,28 @@ class Prefetcher
         (void)incoming_addr;
     }
 
-    /** Feedback for an issued request (useless prefetch etc.). */
+    /**
+     * Feedback for an issued request (useless prefetch etc.), one
+     * call per event, delivered when the event happens. Per
+     * reference, the engines make the calls in this order:
+     *
+     *     feedback* [setNow] observe (onPrefetchEviction | feedback)*
+     *     drainMetaTraffic
+     *
+     * Access-time events (a demand hit consuming a prefetched block,
+     * a demand fill evicting an untouched one) arrive before
+     * observe(), whose confidence reads must see them. Issue-time
+     * events (a prefetch finding its block already in L1D, a prefetch
+     * fill evicting an untouched block) arrive while the reference's
+     * requests issue, before drainMetaTraffic(), which accounts the
+     * confidence bytes they write. setNow() is the timing engine's.
+     */
     virtual void feedback(const PrefetchFeedback &fb) { (void)fb; }
 
     /**
-     * Feedback for a batch of issued requests in event order. The
-     * engines buffer the outcome events of each reference and flush
-     * them in one call, so predictors pay one virtual dispatch per
-     * drain instead of one per event; the default simply loops over
-     * feedback(), which overrides must match event-for-event.
+     * Feedback for @p n events in order; the default loops over
+     * feedback(), which overrides must match event-for-event. No
+     * engine calls this: they deliver each event through feedback().
      */
     virtual void
     feedbackBatch(const PrefetchFeedback *fbs, std::size_t n)

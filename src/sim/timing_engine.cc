@@ -58,7 +58,7 @@ TimingSim::l1Victim(const Victim &v, Cycle now)
     // time and let such re-references under-count latency; stale
     // entries are bounded by purgeInflight() instead.
     if (pred_)
-        bufferFeedback(v.addr, true);
+        pred_->feedback({v.addr, true});
 }
 
 void
@@ -77,9 +77,8 @@ TimingSim::l2Victim(const Victim &v, Cycle now)
 }
 
 Cycle
-TimingSim::missCompletion(Addr block, HitLevel level, Cycle ready)
+TimingSim::missCompletion(HitLevel level, Cycle ready)
 {
-    (void)block;
     // Request leaves L1 after its lookup latency, crosses the L1/L2
     // bus (request phase only), then either hits in L2 or continues
     // to memory; the data crosses the L1/L2 bus on the way back.
@@ -105,13 +104,25 @@ TimingSim::missCompletion(Addr block, HitLevel level, Cycle ready)
                                          l1l2LineOcc_);
 }
 
+bool
+TimingSim::redundant(const PrefetchRequest &req, Cycle now) const
+{
+    // An in-flight entry counts only while its fill is still pending
+    // (completion in the future): entries outlive L1 evictions (see
+    // l1Victim), and a long-completed fill of a since-evicted block
+    // must not veto a fresh prefetch.
+    const Addr block = hier_.l1d().blockAlign(req.target);
+    const Cycle *fill = inflight_.find(block);
+    if (fill && *fill > now)
+        return true;
+    return req.intoL1 ? hier_.l1d().probe(block) : hier_.l2().probe(block);
+}
+
 void
 TimingSim::enqueuePrefetch(const PrefetchRequest &req, Cycle now)
 {
     // Dead-block-aware replacement consumes the predictor's last-touch
-    // prediction at enqueue time — the moment the prediction is made —
-    // shared by the scalar and batched paths (both reach here through
-    // stepImpl), so the two cannot diverge.
+    // prediction at enqueue time, the moment the prediction is made.
     if (req.predictedVictim != invalidAddr) {
         if (config_.hier.l1d.policy == ReplPolicy::DeadBlock)
             hier_.l1d().markDead(req.predictedVictim);
@@ -122,18 +133,7 @@ TimingSim::enqueuePrefetch(const PrefetchRequest &req, Cycle now)
         if (config_.hier.l2.policy == ReplPolicy::DeadBlock)
             hier_.l2().markDead(req.predictedVictim);
     }
-    // Duplicate filter: requests whose block is already resident (or
-    // already in flight) would waste request-queue slots and issue
-    // bandwidth; real prefetchers filter them against the tag array.
-    // An in-flight entry counts only while its fill is still pending
-    // (completion in the future): entries now outlive L1 evictions
-    // (see l1Victim), and a long-completed fill of a since-evicted
-    // block must not veto a fresh prefetch.
-    const Addr block = hier_.l1d().blockAlign(req.target);
-    const Cycle *fill = inflight_.find(block);
-    if (fill && *fill > now)
-        return;
-    if (req.intoL1 ? hier_.l1d().probe(block) : hier_.l2().probe(block))
+    if (redundant(req, now))
         return;
 
     if (prefetchQueue_.size() >= config_.prefetchQueueEntries) {
@@ -160,13 +160,7 @@ TimingSim::drainPrefetchQueue(Cycle now)
         // Re-filter just before issue: an earlier prefetch or demand
         // fill may have brought the block in meanwhile. Filtered
         // requests consume no issue slot.
-        const PrefetchRequest &front = prefetchQueue_.front();
-        const Addr block = hier_.l1d().blockAlign(front.target);
-        const bool resident = front.intoL1
-            ? hier_.l1d().probe(block)
-            : hier_.l2().probe(block);
-        const Cycle *fill = inflight_.find(block);
-        if (resident || (fill && *fill > now)) {
+        if (redundant(prefetchQueue_.front(), now)) {
             prefetchQueue_.pop_front();
             continue;
         }
@@ -185,36 +179,8 @@ void
 TimingSim::issuePrefetch(const PrefetchRequest &req, Cycle now)
 {
     const Addr block = hier_.l1d().blockAlign(req.target);
-
+    PrefetchOutcome out;
     if (req.intoL1) {
-        if (hier_.l1d().probe(block)) {
-            if (pred_)
-                bufferFeedback(req.target, true);
-            return;
-        }
-    } else if (hier_.l2().probe(block)) {
-        return;
-    }
-
-    const bool l2_hit = hier_.l2().probe(block);
-    const std::uint32_t line = config_.hier.l1d.lineBytes;
-    const Cycle req_done =
-        l1l2Req_.transferPrecomputed(now, 0, l1l2ReqOcc_);
-    Cycle data_ready;
-    if (l2_hit) {
-        data_ready = req_done + config_.hier.l2.latency;
-    } else {
-        const Cycle mem_req = memReq_.transferPrecomputed(
-            req_done + config_.hier.l2.latency, 0, memReqOcc_);
-        dram_.noteRead(line);
-        data_ready = mem_req + dramLineLat_;
-        data_ready = memData_.transferPrecomputed(data_ready, line,
-                                                  memLineOcc_);
-    }
-
-    if (req.intoL1) {
-        const Cycle complete = l1l2Data_.transferPrecomputed(
-            data_ready, line, l1l2LineOcc_);
         // Under DeadBlock the directed replacement is gated on the
         // dead mark surviving the enqueue->issue window: a demand
         // touch in between revived the block (the prediction was
@@ -224,18 +190,41 @@ TimingSim::issuePrefetch(const PrefetchRequest &req, Cycle now)
         if (config_.hier.l1d.policy == ReplPolicy::DeadBlock &&
             directed != invalidAddr && !hier_.l1d().isDead(directed))
             directed = invalidAddr;
-        const PrefetchOutcome out = hier_.prefetch(req.target, directed);
-        if (out.alreadyInL1)
-            return;
-        l2Victim(out.l2Victim, now);
-        l1Victim(out.l1Victim, now);
-        inflight_.insert(block, complete);
-        if (out.l1Victim.evicted && pred_)
-            pred_->onPrefetchEviction(out.l1Victim.addr, req.target);
+        out = hier_.prefetch(req.target, directed);
     } else {
-        l2Victim(hier_.prefetchL2(block).l2Victim, now);
-        inflight_.insert(block, data_ready);
+        out = hier_.prefetchL2(block);
     }
+    // The drain filter issues no request whose block is already at its
+    // target level, except under a perfect L1, which holds every block:
+    // then nothing moves.
+    if (req.intoL1 ? out.alreadyInL1 : out.l2Hit)
+        return;
+
+    // Time the transfers from where the hierarchy found the data. An
+    // L2-only request completes when the data reaches L2, an L1 request
+    // once it has crossed the L1/L2 data channel.
+    const std::uint32_t line = config_.hier.l1d.lineBytes;
+    const Cycle req_done =
+        l1l2Req_.transferPrecomputed(now, 0, l1l2ReqOcc_);
+    Cycle data_ready;
+    if (out.l2Hit) {
+        data_ready = req_done + config_.hier.l2.latency;
+    } else {
+        const Cycle mem_req = memReq_.transferPrecomputed(
+            req_done + config_.hier.l2.latency, 0, memReqOcc_);
+        dram_.noteRead(line);
+        data_ready = memData_.transferPrecomputed(
+            mem_req + dramLineLat_, line, memLineOcc_);
+    }
+    const Cycle complete = req.intoL1
+        ? l1l2Data_.transferPrecomputed(data_ready, line, l1l2LineOcc_)
+        : data_ready;
+
+    l2Victim(out.l2Victim, now);
+    l1Victim(out.l1Victim, now);
+    inflight_.insert(block, complete);
+    if (out.l1Victim.evicted && pred_)
+        pred_->onPrefetchEviction(out.l1Victim.addr, req.target);
 }
 
 void
@@ -307,7 +296,7 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
             if (fetchedOffChip(out.l1Meta))
                 cur.baseBytes += config_.hier.l1d.lineBytes;
             if (pred_)
-                bufferFeedback(ref.addr, false);
+                pred_->feedback({ref.addr, false});
         }
     } else {
         cur.l1Misses++;
@@ -318,7 +307,7 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
             if (fetchedOffChip(out.l2Meta))
                 cur.baseBytes += config_.hier.l1d.lineBytes;
             if (pred_)
-                bufferFeedback(ref.addr, false);
+                pred_->feedback({ref.addr, false});
         }
 
         // A prefetch fill still in flight (L2 prefetch, or an L1
@@ -341,7 +330,7 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
             }
         } else {
             const Cycle alloc = mshrs_.allocReadyAt(ready);
-            complete = missCompletion(block, out.level, alloc);
+            complete = missCompletion(out.level, alloc);
             if (inflight_floor > complete) {
                 complete = inflight_floor;
                 cur.partial++;
@@ -357,18 +346,14 @@ TimingSim::stepImpl(const MemRef &ref, PredCursor &cur)
     mshrs_.retire(complete);
 
     if (pred_) {
-        // Access-time feedback (evictions, consumed prefetches) must
-        // be visible before the predictor reads confidences.
-        flushFeedback();
+        // The access-time feedback above precedes setNow() and
+        // observe(), whose confidence reads must see it.
         pred_->setNow(issue);
         pred_->observe(ref, out);
         pred_->drainRequestsInto(reqBuf_);
         for (const PrefetchRequest &req : reqBuf_)
             enqueuePrefetch(req, ready);
         drainPrefetchQueue(ready);
-        // Issue-time feedback writes confidence bytes the metadata
-        // charge below accounts.
-        flushFeedback();
         chargeMetaTraffic(issue);
         if (inflight_.size() >= inflightPurgeTrigger_)
             purgeInflight(issue);
@@ -441,7 +426,6 @@ TimingSim::run(TraceSource &src, std::uint64_t refs)
                         } else {
                             const Cycle alloc = mshrs_.allocReadyAt(ready);
                             complete = missCompletion(
-                                block,
                                 l2_hit ? HitLevel::L2 : HitLevel::Memory,
                                 alloc);
                             mshrs_.allocate(block, alloc, complete);

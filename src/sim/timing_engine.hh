@@ -12,14 +12,14 @@
  *  - 64 L1D MSHRs with merge-on-match,
  *  - predictor requests held in a 128-entry queue (new requests
  *    replace the oldest unissued on overflow, per Section 5) and
- *    issued only when the demand channels are idle at the issue
- *    timestamp: prefetch and signature-stream transfers ride
- *    dedicated low-priority channels so they consume otherwise-idle
- *    bandwidth without delaying demand fills,
+ *    issued one per memory-bus block-transfer time, paced by the
+ *    pfPace_ channel; their transfers move on the shared demand
+ *    channels and contend with demand fills,
  *  - prefetched blocks that are still in flight at demand time hide
  *    only part of the miss latency,
  *  - LT-cords signature streaming and sequence-creation traffic
- *    charged to the memory bus.
+ *    charged to the memory bus on its own low-priority channel,
+ *    metaBus_, so it does not delay demand fills.
  */
 
 #ifndef LTC_SIM_TIMING_ENGINE_HH
@@ -203,33 +203,6 @@ class TimingSim
         lastLoadComplete_ = cur.lastLoad;
     }
 
-    /** Queue one feedback event for the next flushFeedback(). */
-    void
-    bufferFeedback(Addr target, bool useless)
-    {
-        PrefetchFeedback fb;
-        fb.target = target;
-        fb.useless = useless;
-        fbBuf_.push_back(fb);
-    }
-
-    /**
-     * Deliver buffered feedback events, in order, as one batch.
-     * stepImpl() flushes at exactly two points per reference: before
-     * the predictor observes (access-time events must be visible to
-     * the confidence reads of observe()) and after the prefetch-issue
-     * drain, before metadata traffic is charged (feedback writes
-     * confidence bytes the charge accounts).
-     */
-    void
-    flushFeedback()
-    {
-        if (fbBuf_.empty())
-            return;
-        pred_->feedbackBatch(fbBuf_.data(), fbBuf_.size());
-        fbBuf_.clear();
-    }
-
     /**
      * Drop in-flight entries whose fill completed at or before
      * @p horizon (the current issue cycle, which the core never
@@ -244,13 +217,22 @@ class TimingSim
     void purgeInflight(Cycle horizon);
 
     /** Latency path for a demand L1 miss; returns completion cycle. */
-    Cycle missCompletion(Addr block, HitLevel level, Cycle ready);
+    Cycle missCompletion(HitLevel level, Cycle ready);
 
-    /** Enqueue a predictor request (dropping the oldest when full);
-     *  @p now bounds the "still in flight" duplicate filter. */
+    /**
+     * The prefetch filter of enqueue and issue: @p req's block is
+     * resident at its target level, or its fill is still in flight at
+     * @p now. Real prefetchers filter such requests against the tag
+     * array; they would waste queue slots and issue bandwidth.
+     */
+    bool redundant(const PrefetchRequest &req, Cycle now) const;
+
+    /** Enqueue a predictor request (dropping the oldest when full)
+     *  unless it is redundant at @p now. */
     void enqueuePrefetch(const PrefetchRequest &req, Cycle now);
 
-    /** Issue queued prefetches while the channels are idle at @p now. */
+    /** Issue queued prefetches while the pacing channel has a slot
+     *  free at @p now. */
     void drainPrefetchQueue(Cycle now);
 
     /** Issue one prefetch request at time @p now. */
@@ -325,7 +307,6 @@ class TimingSim
      */
     RefPuller puller_;                    //!< run() pull buffer
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
-    std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
 
     // Per-run constants of the miss event path, hoisted out of the
     // per-event arithmetic: bus occupancies for the two transfer

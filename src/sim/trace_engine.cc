@@ -52,7 +52,7 @@ TraceEngine::l1Victim(const Victim &v, bool prefetch_fill)
             s.traffic.add(Traffic::IncorrectPrefetch,
                           hierConfig_.l1d.lineBytes);
         if (pred_)
-            bufferFeedback(v.addr, true);
+            pred_->feedback({v.addr, true});
     } else if (prefetch_fill && v.evicted) {
         // A live block evicted by a prefetch fill: if it misses again
         // later, that miss is a premature ("early") eviction.
@@ -83,7 +83,7 @@ TraceEngine::l2Victim(const Victim &v)
         s.traffic.add(Traffic::IncorrectPrefetch, hierConfig_.l2.lineBytes);
     s.uselessPrefetches++;
     if (pred_)
-        bufferFeedback(v.addr, true);
+        pred_->feedback({v.addr, true});
 }
 
 void
@@ -115,7 +115,7 @@ TraceEngine::issuePrefetch(const PrefetchRequest &req)
             hier_.prefetch(req.target, req.predictedVictim);
         if (out.alreadyInL1) {
             if (pred_)
-                bufferFeedback(req.target, true);
+                pred_->feedback({req.target, true});
             return;
         }
         l2Victim(out.l2Victim);
@@ -138,10 +138,6 @@ TraceEngine::drainPredictor()
     pred_->drainRequestsInto(reqBuf_);
     for (const PrefetchRequest &req : reqBuf_)
         issuePrefetch(req);
-    // Issue-time feedback (filtered prefetches, fills evicting
-    // untouched prefetches) writes confidence bytes the metadata
-    // drain below accounts.
-    flushFeedback();
     const auto [write_bytes, read_bytes] = pred_->drainMetaTraffic();
     CoverageStats &s = buckets_[current_];
     s.traffic.add(Traffic::SequenceCreate, write_bytes);
@@ -193,7 +189,7 @@ TraceEngine::stepImpl(const MemRef &ref, Counters &c)
             if (fetchedOffChip(out.l1Meta))
                 c.baseBytes += line_bytes;
             if (pred_)
-                bufferFeedback(ref.addr, false);
+                pred_->feedback({ref.addr, false});
         }
     } else {
         c.l1Misses++;
@@ -208,14 +204,13 @@ TraceEngine::stepImpl(const MemRef &ref, Counters &c)
             if (fetchedOffChip(out.l2Meta))
                 c.baseBytes += line_bytes;
             if (pred_)
-                bufferFeedback(ref.addr, false);
+                pred_->feedback({ref.addr, false});
         }
     }
 
     if (pred_) {
-        // Access-time feedback must be visible before the predictor
-        // reads confidences in observe().
-        flushFeedback();
+        // The access-time feedback above precedes observe(), whose
+        // confidence reads must see it.
         pred_->observe(ref, out);
         drainPredictor();
     }

@@ -222,34 +222,6 @@ class TraceEngine
      */
     void l2Victim(const Victim &v);
 
-    /** Queue one feedback event for the next flushFeedback(). */
-    void
-    bufferFeedback(Addr target, bool useless)
-    {
-        PrefetchFeedback fb;
-        fb.target = target;
-        fb.useless = useless;
-        fbBuf_.push_back(fb);
-    }
-
-    /**
-     * Deliver buffered feedback events, in order, as one batch. The
-     * engine flushes at exactly two points per reference: before the
-     * predictor observes (access-time events — demand evictions,
-     * consumed prefetches — must be visible to the confidence reads
-     * of observe()) and inside drainPredictor() after the issue loop,
-     * before the metadata drain (feedback writes confidence bytes the
-     * drain accounts).
-     */
-    void
-    flushFeedback()
-    {
-        if (fbBuf_.empty())
-            return;
-        pred_->feedbackBatch(fbBuf_.data(), fbBuf_.size());
-        fbBuf_.clear();
-    }
-
     /**
      * The loop-owned CoverageStats counters. They are disjoint from
      * everything the victim handlers (l1Victim, l2Victim) and
@@ -320,7 +292,6 @@ class TraceEngine
      */
     RefPuller puller_; //!< pull buffer shared by every tenant
     std::vector<PrefetchRequest> reqBuf_; //!< predictor drain buffer
-    std::vector<PrefetchFeedback> fbBuf_; //!< feedback batch buffer
 };
 
 /**

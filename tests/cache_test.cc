@@ -218,73 +218,93 @@ TEST(CacheTest, OutcomeReportsEvictions)
     EXPECT_EQ(c.evictions(), 1u);
 }
 
-TEST(CacheTest, FillReplacingEvictsPredictedVictim)
+constexpr std::uint8_t kOffChipEntry = LineMetaFetched | LineMetaOffChip;
+
+TEST(CacheTest, FillEvictsPredictedVictim)
 {
     Cache c(tinyConfig(2));
     c.access(0x0000, MemOp::Load); // A
     c.access(0x0100, MemOp::Load); // B; A is LRU
     // Prefetch C replacing B (the MRU): must evict B, not LRU A.
-    auto out = c.fillReplacing(0x0200, 0x0100);
+    auto out = c.fill(0x0200, 0x0100, kOffChipEntry);
     EXPECT_TRUE(out.evicted);
     EXPECT_EQ(out.victimAddr, 0x0100u);
     EXPECT_TRUE(c.probe(0x0000));
     EXPECT_TRUE(c.probe(0x0200));
 }
 
-TEST(CacheTest, FillReplacingFallsBackToPolicyVictim)
+TEST(CacheTest, FillFallsBackToPolicyVictim)
 {
     Cache c(tinyConfig(2));
     c.access(0x0000, MemOp::Load); // A
     c.access(0x0100, MemOp::Load); // B
     // Predicted victim not resident: evict the LRU (A).
-    auto out = c.fillReplacing(0x0200, 0x0300);
+    auto out = c.fill(0x0200, 0x0300, kOffChipEntry);
     EXPECT_TRUE(out.evicted);
     EXPECT_EQ(out.victimAddr, 0x0000u);
+    // No prediction at all: the policy victim again (LRU B).
+    out = c.fill(0x0400, invalidAddr, kOffChipEntry);
+    EXPECT_TRUE(out.evicted);
+    EXPECT_EQ(out.victimAddr, 0x0100u);
 }
 
-TEST(CacheTest, FillReplacingResidentIsNoop)
+/**
+ * Filling a resident block changes neither its classification entry
+ * nor its untouched-prefetch flag, whatever the fill carries.
+ */
+TEST(CacheTest, FillResidentIsNoop)
 {
     Cache c(tinyConfig());
     c.access(0x0000, MemOp::Load);
-    auto out = c.fillReplacing(0x0000, 0x0100);
+    auto out = c.fill(0x0000, 0x0100, kOffChipEntry);
     EXPECT_TRUE(out.hit);
     EXPECT_FALSE(out.evicted);
     EXPECT_EQ(c.prefetchFills(), 0u);
+    EXPECT_FALSE(c.isUntouchedPrefetch(0x0000));
+    EXPECT_EQ(c.takeMeta(0x0000), 0u);
+
+    c.fill(0x0100, invalidAddr, kOffChipEntry);
+    EXPECT_TRUE(c.fill(0x0100, invalidAddr, 0).hit);
+    EXPECT_EQ(c.prefetchFills(), 1u);
+    EXPECT_TRUE(c.isUntouchedPrefetch(0x0100));
+    EXPECT_EQ(c.takeMeta(0x0100), kOffChipEntry);
 }
 
 TEST(CacheTest, PrefetchedFlagLifecycle)
 {
     Cache c(tinyConfig());
-    c.fill(0x0000);
+    c.fill(0x0000, invalidAddr, kOffChipEntry);
     EXPECT_TRUE(c.isUntouchedPrefetch(0x0000));
     auto out = c.access(0x0000, MemOp::Load);
     EXPECT_TRUE(out.hit);
     EXPECT_TRUE(out.hitUntouchedPrefetch);
+    EXPECT_EQ(out.meta, kOffChipEntry);
     EXPECT_FALSE(c.isUntouchedPrefetch(0x0000));
     out = c.access(0x0000, MemOp::Load);
     EXPECT_FALSE(out.hitUntouchedPrefetch);
+    EXPECT_EQ(out.meta, 0u);
 }
 
 TEST(CacheTest, UnmarkedFillIsNotUntouchedPrefetch)
 {
     Cache c(tinyConfig());
-    c.fill(0x0000, /*mark_prefetched=*/false);
+    c.fill(0x0000, invalidAddr, 0);
     EXPECT_FALSE(c.isUntouchedPrefetch(0x0000));
+    EXPECT_EQ(c.takeMeta(0x0000), 0u);
 }
 
 TEST(CacheTest, OutcomeReportsUntouchedPrefetchVictim)
 {
     Cache c(tinyConfig(2));
-    c.fill(0x0000); // prefetched, never touched
-    EXPECT_TRUE(c.setMeta(0x0000, LineMetaFetched | LineMetaOffChip));
+    c.fill(0x0000, invalidAddr, kOffChipEntry); // never touched
     c.access(0x0100, MemOp::Load); // B
     auto out = c.access(0x0200, MemOp::Load); // evicts prefetched A
     EXPECT_TRUE(out.evicted);
     EXPECT_EQ(out.victimAddr, 0x0000u);
     EXPECT_TRUE(out.victimUntouchedPrefetch);
-    EXPECT_EQ(out.victimMeta, LineMetaFetched | LineMetaOffChip);
+    EXPECT_EQ(out.victimMeta, kOffChipEntry);
     // A prefetch fill reports its victim the same way.
-    out = c.fill(0x0300);
+    out = c.fill(0x0300, invalidAddr, kOffChipEntry);
     EXPECT_TRUE(out.evicted);
     EXPECT_EQ(out.victimAddr, 0x0100u);
     EXPECT_FALSE(out.victimUntouchedPrefetch);

@@ -238,6 +238,202 @@ TEST(TimingSimTest, StatsBasicsConsistent)
 }
 
 //
+// The Prefetcher call contract (pred/prefetcher.hh)
+//
+
+/**
+ * Test predictor that logs every virtual call as one letter and asks
+ * for an L1-directed prefetch of the next block on every reference:
+ * h/u = feedback (useful/useless), s = setNow, o = observe,
+ * e = onPrefetchEviction, d = drainMetaTraffic, b = feedbackBatch,
+ * t = selectTenant, a = auditInvariants.
+ */
+class LoggingPrefetcher : public Prefetcher
+{
+  public:
+    void
+    observe(const MemRef &ref, const HierOutcome &) override
+    {
+        log_ += 'o';
+        PrefetchRequest req;
+        req.target = ref.addr + 64;
+        req.intoL1 = true;
+        enqueue(req);
+        requests_++;
+    }
+
+    void
+    onPrefetchEviction(Addr, Addr) override
+    {
+        log_ += 'e';
+    }
+
+    void
+    feedback(const PrefetchFeedback &fb) override
+    {
+        log_ += fb.useless ? 'u' : 'h';
+    }
+
+    void
+    feedbackBatch(const PrefetchFeedback *, std::size_t) override
+    {
+        log_ += 'b';
+    }
+
+    void setNow(Cycle) override { log_ += 's'; }
+    void selectTenant(std::uint32_t) override { log_ += 't'; }
+    void auditInvariants() const override { log_ += 'a'; }
+
+    std::pair<std::uint64_t, std::uint64_t>
+    drainMetaTraffic() override
+    {
+        log_ += 'd';
+        return {0, 0};
+    }
+
+    std::string name() const override { return "logging"; }
+
+    const std::string &log() const { return log_; }
+    std::uint64_t requests() const { return requests_; }
+
+  private:
+    mutable std::string log_;
+    std::uint64_t requests_ = 0;
+};
+
+/** What checkCallOrder() counted in a well-formed log. */
+struct CallTally
+{
+    std::uint64_t refs = 0;
+    std::uint64_t accessFeedback = 0; //!< before the reference's observe
+    std::uint64_t issueFeedback = 0;  //!< after it
+    std::uint64_t consumed = 0;       //!< useful feedback
+    std::uint64_t prefetchEvictions = 0;
+};
+
+/**
+ * Parse @p log reference by reference against the contract
+ *
+ *     feedback* [setNow] observe (onPrefetchEviction | feedback)*
+ *     drainMetaTraffic
+ *
+ * with setNow present exactly when @p timing. Issue-time feedback is
+ * always useless (a filtered or evicted-unused prefetch), so useful
+ * feedback, which a demand hit on a prefetched block produces, must
+ * come before observe. An audit may follow the last reference of a
+ * run. Fails the test at the first call out of order.
+ */
+CallTally
+checkCallOrder(const std::string &log, bool timing)
+{
+    CallTally t;
+    enum { Start, Timed, Observed } state = Start;
+    for (std::size_t i = 0; i < log.size(); i++) {
+        const char c = log[i];
+        bool ok = true;
+        switch (state) {
+          case Start:
+            if (c == 'h' || c == 'u') {
+                t.accessFeedback++;
+                t.consumed += c == 'h';
+            } else if (c == 's' && timing) {
+                state = Timed;
+            } else if (c == 'o' && !timing) {
+                state = Observed;
+            } else {
+                ok = c == 'a';
+            }
+            break;
+          case Timed:
+            ok = c == 'o';
+            state = Observed;
+            break;
+          case Observed:
+            if (c == 'u') {
+                t.issueFeedback++;
+            } else if (c == 'e') {
+                t.prefetchEvictions++;
+            } else if (c == 'd') {
+                t.refs++;
+                state = Start;
+            } else {
+                ok = false;
+            }
+            break;
+        }
+        if (!ok) {
+            const std::size_t from = i > 24 ? i - 24 : 0;
+            ADD_FAILURE() << "call '" << c << "' out of order in reference "
+                          << t.refs << ": ..." << log.substr(from, 32);
+            return t;
+        }
+    }
+    EXPECT_EQ(state, Start) << "log ends inside a reference";
+    return t;
+}
+
+/** Every kind of event the contract orders occurred in @p t. */
+void
+expectEveryEvent(const CallTally &t, std::uint64_t refs)
+{
+    EXPECT_EQ(t.refs, refs);
+    EXPECT_GT(t.accessFeedback, 0u);
+    EXPECT_GT(t.consumed, 0u);
+    EXPECT_GT(t.issueFeedback, 0u);
+    EXPECT_GT(t.prefetchEvictions, 0u);
+}
+
+constexpr std::uint64_t kContractRefs = 50'000;
+
+TEST(PrefetcherContractTest, TraceEngineOrdersCallsPerReference)
+{
+    for (const char *workload : {"mcf", "em3d"}) {
+        SCOPED_TRACE(workload);
+        auto src = makeWorkload(workload);
+        LoggingPrefetcher pred;
+        TraceEngine engine(HierarchyConfig{}, &pred);
+        ASSERT_EQ(engine.run(*src, kContractRefs), kContractRefs);
+        expectEveryEvent(checkCallOrder(pred.log(), false),
+                         kContractRefs);
+    }
+}
+
+TEST(PrefetcherContractTest, TimingEngineOrdersCallsPerReference)
+{
+    for (const char *workload : {"mcf", "em3d"}) {
+        SCOPED_TRACE(workload);
+        auto src = makeWorkload(workload);
+        LoggingPrefetcher pred;
+        TimingSim sim(TimingConfig{}, &pred);
+        ASSERT_EQ(sim.run(*src, kContractRefs), kContractRefs);
+        expectEveryEvent(checkCallOrder(pred.log(), true),
+                         kContractRefs);
+    }
+}
+
+/**
+ * A perfect L1 holds every block, so an L1-directed prefetch finds
+ * its block already there and moves nothing: no bus cycle, no useless
+ * prefetch and no install in either level.
+ */
+TEST(TimingSimTest, PerfectL1PrefetchesMoveNothing)
+{
+    TimingConfig cfg;
+    cfg.hier.perfectL1 = true;
+    LoggingPrefetcher pred;
+    TimingSim sim(cfg, &pred);
+    auto src = makeWorkload("mcf");
+    sim.run(*src, 20'000);
+    ASSERT_GT(pred.requests(), 0u);
+    const TimingStats s = sim.stats();
+    EXPECT_EQ(s.l1l2BusBusy, 0u);
+    EXPECT_EQ(s.memBusBusy, 0u);
+    EXPECT_EQ(s.useless, 0u);
+    EXPECT_EQ(sim.hierarchy().l1d().prefetchFills(), 0u);
+    EXPECT_EQ(sim.hierarchy().l2().prefetchFills(), 0u);
+}
+
+//
 // Multi-programming
 //
 

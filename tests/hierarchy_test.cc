@@ -69,6 +69,10 @@ TEST(HierarchyTest, PerfectL1AlwaysHits)
         EXPECT_EQ(out.level, HitLevel::L1);
     }
     EXPECT_EQ(hier.l1d().misses(), 0u);
+    // Every block is already in L1D, so a prefetch installs nothing.
+    EXPECT_TRUE(hier.prefetch(0x10000, invalidAddr).alreadyInL1);
+    EXPECT_EQ(hier.l1d().prefetchFills(), 0u);
+    EXPECT_EQ(hier.l2().prefetchFills(), 0u);
 }
 
 TEST(HierarchyTest, PrefetchInstallsIntoBothLevels)
@@ -333,6 +337,26 @@ TEST(HierarchyTest, PrefetchL2InstallsOffChipEntryUnlessResident)
     EXPECT_FALSE(hier.l1d().probe(kB));
     EXPECT_TRUE(hier.l2().isUntouchedPrefetch(kB));
     EXPECT_EQ(hier.l2().takeMeta(kB), kOffChipEntry);
+}
+
+/**
+ * An L1 prefetch of a block an L2-only prefetch left in L2: the one
+ * L2 fill reports the copy as an L2 hit and leaves its line alone, the
+ * L1 line takes an on-chip entry, and the copy's off-chip entry is
+ * retired, so the block keeps exactly one.
+ */
+TEST(HierarchyTest, PrefetchOverL2OnlyPrefetchRetiresItsEntry)
+{
+    CacheHierarchy hier(smallHier());
+    EXPECT_FALSE(hier.prefetchL2(kA).l2Hit);
+    const PrefetchOutcome pf = hier.prefetch(kA, invalidAddr);
+    EXPECT_FALSE(pf.alreadyInL1);
+    EXPECT_TRUE(pf.l2Hit);
+    EXPECT_FALSE(pf.l2Victim.evicted);
+    EXPECT_TRUE(hier.l1d().isUntouchedPrefetch(kA));
+    EXPECT_EQ(hier.l1d().takeMeta(kA), LineMetaFetched);
+    EXPECT_TRUE(hier.l2().isUntouchedPrefetch(kA));
+    EXPECT_EQ(hier.l2().takeMeta(kA), 0u);
 }
 
 TEST(HierarchyTest, FlushEmptiesBothLevels)

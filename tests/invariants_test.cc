@@ -106,7 +106,7 @@ struct TestPeer
         const Addr block = 0x40000;
         ASSERT_FALSE(c.probe(block));
         c.markEvicted(block);
-        c.fill(block);
+        c.fill(block, invalidAddr, LineMetaFetched);
     }
 
     /** Regions the eviction-mark map holds. */
@@ -242,8 +242,8 @@ exerciseCache(Cache &c)
         if (out.evicted)
             c.markEvicted(out.victimAddr);
     }
-    c.fill(0x100000);
-    c.fillReplacing(0x200000, 0x100000);
+    c.fill(0x100000, invalidAddr, LineMetaFetched | LineMetaOffChip);
+    c.fill(0x200000, 0x100000, LineMetaFetched);
 }
 
 MshrFile

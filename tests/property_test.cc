@@ -767,9 +767,9 @@ TEST_P(EvictionMarkProperty, RandomScheduleMatchesSetOracle)
           }
           case 2: {
             const Addr victim = blocks[rng.below(blocks.size())];
-            const CacheOutcome out = rng.chance(0.5)
-                ? c.fill(addr)
-                : c.fillReplacing(addr, victim);
+            const CacheOutcome out =
+                c.fill(addr, rng.chance(0.5) ? invalidAddr : victim,
+                       LineMetaFetched);
             if (!out.hit)
                 clear(addr, op);
             if (out.evicted && rng.chance(0.8))
