@@ -125,28 +125,14 @@ FileTrace::FileTrace(const std::string &path, std::string name)
     }
 }
 
-bool
-FileTrace::next(MemRef &out)
-{
-    if (reader_->next(out))
-        return true;
-    // The header parsed (the constructor checked), so a mid-stream
-    // failure is data corruption: engines cannot recover from a
-    // stream that silently ends early, so fail loudly.
-    if (!reader_->ok()) {
-        ltc_fatal("trace file ", name_, ": ",
-                  traceErrcMessage(reader_->error()), " (",
-                  traceErrcName(reader_->error()), ")");
-    }
-    return false;
-}
-
 std::size_t
 FileTrace::fill(std::span<MemRef> out)
 {
     const std::size_t got = reader_->fill(out);
     if (got < out.size() && !reader_->ok()) {
-        // Same contract as next(): mid-stream corruption is fatal.
+        // The header parsed (the constructor checked), so a mid-stream
+        // failure is data corruption: engines cannot recover from a
+        // stream that silently ends early, so fail loudly.
         ltc_fatal("trace file ", name_, ": ",
                   traceErrcMessage(reader_->error()), " (",
                   traceErrcName(reader_->error()), ")");

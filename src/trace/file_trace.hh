@@ -61,7 +61,6 @@ class FileTrace final : public TraceSource
     /** @param name Stats identifier; defaults to "file:<path>". */
     explicit FileTrace(const std::string &path, std::string name = "");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override { reader_->reset(); }
     std::string name() const override { return name_; }

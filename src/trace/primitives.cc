@@ -39,47 +39,39 @@ StridedScanSource::StridedScanSource(std::vector<ScanArray> arrays,
     }
 }
 
-bool
-StridedScanSource::next(MemRef &out)
-{
-    const ScanArray &a = arrays_[arrayIdx_];
-
-    Addr base = a.base;
-    if (a.advancePerIter) {
-        const std::uint64_t wrap =
-            a.wrapBytes ? a.wrapBytes : (std::uint64_t{1} << 30);
-        base += (iter_ * a.advancePerIter) % wrap;
-    }
-
-    out.pc = a.pc + accessIdx_ * 4;
-    out.addr = base + blockIdx_ * defaultBlockSize +
-        wordOffset(accessIdx_, defaultBlockSize);
-    out.op = a.stores ? MemOp::Store : MemOp::Load;
-    out.nonMemGap = gap_;
-    out.dependsOnPrev = false;
-
-    // Advance position: accesses within block, blocks within array,
-    // arrays within iteration.
-    if (++accessIdx_ >= a.accessesPerBlock) {
-        accessIdx_ = 0;
-        if (++blockIdx_ >= a.blocks) {
-            blockIdx_ = 0;
-            if (++arrayIdx_ >= arrays_.size()) {
-                arrayIdx_ = 0;
-                iter_++;
-            }
-        }
-    }
-    return true;
-}
-
 std::size_t
 StridedScanSource::fill(std::span<MemRef> out)
 {
-    // The class is final and next() never ends, so this compiles to a
-    // tight non-virtual generation loop.
-    for (MemRef &ref : out)
-        next(ref);
+    for (MemRef &ref : out) {
+        const ScanArray &a = arrays_[arrayIdx_];
+
+        Addr base = a.base;
+        if (a.advancePerIter) {
+            const std::uint64_t wrap =
+                a.wrapBytes ? a.wrapBytes : (std::uint64_t{1} << 30);
+            base += (iter_ * a.advancePerIter) % wrap;
+        }
+
+        ref.pc = a.pc + accessIdx_ * 4;
+        ref.addr = base + blockIdx_ * defaultBlockSize +
+            wordOffset(accessIdx_, defaultBlockSize);
+        ref.op = a.stores ? MemOp::Store : MemOp::Load;
+        ref.nonMemGap = gap_;
+        ref.dependsOnPrev = false;
+
+        // Advance position: accesses within block, blocks within
+        // array, arrays within iteration.
+        if (++accessIdx_ >= a.accessesPerBlock) {
+            accessIdx_ = 0;
+            if (++blockIdx_ >= a.blocks) {
+                blockIdx_ = 0;
+                if (++arrayIdx_ >= arrays_.size()) {
+                    arrayIdx_ = 0;
+                    iter_++;
+                }
+            }
+        }
+    }
     return out.size();
 }
 
@@ -168,63 +160,48 @@ PointerChaseSource::mutate()
     }
 }
 
-bool
-PointerChaseSource::next(MemRef &out)
-{
-    out.pc = params_.pc + accessIdx_ * 4;
-    out.addr = nodeAddr(order_[pos_]) +
-        wordOffset(accessIdx_, params_.nodeBytes);
-    out.op = MemOp::Load;
-    out.nonMemGap = params_.nonMemGap;
-    // The first access to a node dereferences the pointer loaded from
-    // the previous node; subsequent same-node accesses hit the block.
-    out.dependsOnPrev = accessIdx_ == 0;
-
-    if (++accessIdx_ >= params_.accessesPerNode) {
-        accessIdx_ = 0;
-        if (++pos_ >= params_.nodes) {
-            pos_ = 0;
-            iter_++;
-            if (params_.mutateEveryIters &&
-                iter_ % params_.mutateEveryIters == 0 &&
-                params_.mutateFraction > 0.0) {
-                mutate();
-            }
-        }
-    }
-    return true;
-}
-
 std::size_t
 PointerChaseSource::fill(std::span<MemRef> out)
 {
-    // Batched generation: the common one-access-per-node case runs
-    // wrap-free inner sweeps over order_ — sequential indexed loads
-    // the hardware prefetcher covers, where the successor-link form
-    // of this source serialized one dependent (usually missing) load
-    // per simulated node. Multi-access nodes keep the scalar loop;
-    // next() already reads order_ sequentially there too.
-    if (params_.accessesPerNode != 1) {
-        for (MemRef &ref : out)
-            next(ref);
-        return out.size();
-    }
+    // Both paths read order_ sequentially — indexed loads the hardware
+    // prefetcher covers, where the successor-link form of this source
+    // serialized one dependent (usually missing) load per simulated
+    // node. The common one-access-per-node case emits wrap-free sweeps
+    // of whole nodes; multi-access nodes advance one record at a time.
+    const std::uint32_t apn = params_.accessesPerNode;
     std::size_t n = 0;
     while (n < out.size()) {
-        const std::size_t chunk = static_cast<std::size_t>(
-            std::min<std::uint64_t>(out.size() - n,
-                                    params_.nodes - pos_));
-        const std::uint32_t *nodes = order_.data() + pos_;
-        for (std::size_t i = 0; i < chunk; i++) {
-            MemRef &ref = out[n + i];
-            ref.pc = params_.pc;
-            ref.addr = nodeAddr(nodes[i]);
+        if (apn == 1) {
+            const std::size_t chunk = static_cast<std::size_t>(
+                std::min<std::uint64_t>(out.size() - n,
+                                        params_.nodes - pos_));
+            const std::uint32_t *nodes = order_.data() + pos_;
+            for (std::size_t i = 0; i < chunk; i++) {
+                MemRef &ref = out[n + i];
+                ref.pc = params_.pc;
+                ref.addr = nodeAddr(nodes[i]);
+                ref.op = MemOp::Load;
+                ref.nonMemGap = params_.nonMemGap;
+                ref.dependsOnPrev = true;
+            }
+            n += chunk;
+            pos_ += chunk;
+        } else {
+            MemRef &ref = out[n++];
+            ref.pc = params_.pc + accessIdx_ * 4;
+            ref.addr = nodeAddr(order_[pos_]) +
+                wordOffset(accessIdx_, params_.nodeBytes);
             ref.op = MemOp::Load;
             ref.nonMemGap = params_.nonMemGap;
-            ref.dependsOnPrev = true;
+            // The first access to a node dereferences the pointer
+            // loaded from the previous node; subsequent same-node
+            // accesses hit the block.
+            ref.dependsOnPrev = accessIdx_ == 0;
+            if (++accessIdx_ < apn)
+                continue;
+            accessIdx_ = 0;
+            pos_++;
         }
-        n += chunk;
-        pos_ += chunk;
         if (pos_ >= params_.nodes) {
             pos_ = 0;
             iter_++;
@@ -288,34 +265,28 @@ TreeWalkSource::TreeWalkSource(TreeWalkParams params, std::string name)
     ltc_assert(order_.size() == n, "DFS order incomplete");
 }
 
-bool
-TreeWalkSource::next(MemRef &out)
-{
-    const std::uint32_t node = order_[pos_];
-    const Addr addr = params_.base +
-        static_cast<Addr>(placement_[node]) * params_.nodeBytes;
-
-    out.pc = params_.pc + accessIdx_ * 4;
-    out.addr = addr + wordOffset(accessIdx_, params_.nodeBytes);
-    out.op = MemOp::Load;
-    out.nonMemGap = params_.nonMemGap;
-    out.dependsOnPrev = accessIdx_ == 0;
-
-    if (++accessIdx_ >= params_.accessesPerNode) {
-        accessIdx_ = 0;
-        if (++pos_ >= order_.size()) {
-            pos_ = 0;
-            iter_++;
-        }
-    }
-    return true;
-}
-
 std::size_t
 TreeWalkSource::fill(std::span<MemRef> out)
 {
-    for (MemRef &ref : out)
-        next(ref);
+    for (MemRef &ref : out) {
+        const std::uint32_t node = order_[pos_];
+        const Addr addr = params_.base +
+            static_cast<Addr>(placement_[node]) * params_.nodeBytes;
+
+        ref.pc = params_.pc + accessIdx_ * 4;
+        ref.addr = addr + wordOffset(accessIdx_, params_.nodeBytes);
+        ref.op = MemOp::Load;
+        ref.nonMemGap = params_.nonMemGap;
+        ref.dependsOnPrev = accessIdx_ == 0;
+
+        if (++accessIdx_ >= params_.accessesPerNode) {
+            accessIdx_ = 0;
+            if (++pos_ >= order_.size()) {
+                pos_ = 0;
+                iter_++;
+            }
+        }
+    }
     return out.size();
 }
 
@@ -343,31 +314,28 @@ HashProbeSource::HashProbeSource(HashProbeParams params, std::string name)
     ltc_assert(params_.pcCount > 0, "HashProbeSource zero pcCount");
 }
 
-bool
-HashProbeSource::next(MemRef &out)
-{
-    std::uint64_t block;
-    if (params_.hotFraction > 0.0 && rng_.chance(params_.hotFraction))
-        block = rng_.below(std::max<std::uint64_t>(1, params_.hotBlocks));
-    else
-        block = rng_.below(params_.blocks);
-
-    out.pc = params_.pc + (count_ % params_.pcCount) * 4;
-    out.addr = params_.base + block * params_.blockStride *
-        defaultBlockSize;
-    out.op = rng_.chance(params_.storeFraction) ? MemOp::Store
-                                                : MemOp::Load;
-    out.nonMemGap = params_.nonMemGap;
-    out.dependsOnPrev = false;
-    count_++;
-    return true;
-}
-
 std::size_t
 HashProbeSource::fill(std::span<MemRef> out)
 {
-    for (MemRef &ref : out)
-        next(ref);
+    for (MemRef &ref : out) {
+        std::uint64_t block;
+        if (params_.hotFraction > 0.0 &&
+            rng_.chance(params_.hotFraction)) {
+            block = rng_.below(
+                std::max<std::uint64_t>(1, params_.hotBlocks));
+        } else {
+            block = rng_.below(params_.blocks);
+        }
+
+        ref.pc = params_.pc + (count_ % params_.pcCount) * 4;
+        ref.addr = params_.base + block * params_.blockStride *
+            defaultBlockSize;
+        ref.op = rng_.chance(params_.storeFraction) ? MemOp::Store
+                                                    : MemOp::Load;
+        ref.nonMemGap = params_.nonMemGap;
+        ref.dependsOnPrev = false;
+        count_++;
+    }
     return out.size();
 }
 
@@ -395,31 +363,12 @@ InterleaveSource::InterleaveSource(
         ltc_assert(c > 0, "InterleaveSource zero chunk length");
 }
 
-bool
-InterleaveSource::next(MemRef &out)
-{
-    // A child that ends is skipped; the stream ends when all end.
-    for (std::size_t attempts = 0; attempts < children_.size();
-         attempts++) {
-        if (children_[childIdx_]->next(out)) {
-            if (++inChunk_ >= chunks_[childIdx_]) {
-                inChunk_ = 0;
-                childIdx_ = (childIdx_ + 1) % children_.size();
-            }
-            return true;
-        }
-        inChunk_ = 0;
-        childIdx_ = (childIdx_ + 1) % children_.size();
-    }
-    return false;
-}
-
 std::size_t
 InterleaveSource::fill(std::span<MemRef> out)
 {
     // Delegate whole chunk remainders to each child's fill(), so the
     // per-record virtual hop is paid once per chunk, not per record.
-    // End-of-stream mirrors next(): the stream ends once every child
+    // A child that ends is skipped; the stream ends once every child
     // fails to produce in consecutive attempts.
     std::size_t n = 0;
     std::size_t failed = 0;
@@ -472,25 +421,6 @@ PhaseSequenceSource::PhaseSequenceSource(
                "PhaseSequenceSource children/lengths size mismatch");
     for (auto l : lengths_)
         ltc_assert(l > 0, "PhaseSequenceSource zero phase length");
-}
-
-bool
-PhaseSequenceSource::next(MemRef &out)
-{
-    for (std::size_t attempts = 0; attempts <= children_.size();
-         attempts++) {
-        if (inPhase_ >= lengths_[childIdx_]) {
-            inPhase_ = 0;
-            childIdx_ = (childIdx_ + 1) % children_.size();
-        }
-        if (children_[childIdx_]->next(out)) {
-            inPhase_++;
-            return true;
-        }
-        // Child exhausted: move on.
-        inPhase_ = lengths_[childIdx_];
-    }
-    return false;
 }
 
 std::size_t

@@ -71,7 +71,6 @@ class StridedScanSource final : public TraceSource
                       std::uint32_t non_mem_gap,
                       std::string name = "scan");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override;
     std::string name() const override { return name_; }
@@ -128,7 +127,6 @@ class PointerChaseSource final : public TraceSource
     explicit PointerChaseSource(PointerChaseParams params,
                                 std::string name = "chase");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override;
     std::string name() const override { return name_; }
@@ -183,7 +181,6 @@ class TreeWalkSource final : public TraceSource
     explicit TreeWalkSource(TreeWalkParams params,
                             std::string name = "tree");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override;
     std::string name() const override { return name_; }
@@ -237,7 +234,6 @@ class HashProbeSource final : public TraceSource
     explicit HashProbeSource(HashProbeParams params,
                              std::string name = "hash");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override;
     std::string name() const override { return name_; }
@@ -263,7 +259,6 @@ class InterleaveSource final : public TraceSource
                      std::vector<std::uint32_t> chunks,
                      std::string name = "interleave");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override;
     std::string name() const override { return name_; }
@@ -288,7 +283,6 @@ class PhaseSequenceSource final : public TraceSource
                         std::vector<std::uint64_t> lengths,
                         std::string name = "phases");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override;
     std::string name() const override { return name_; }

@@ -7,33 +7,9 @@
 namespace ltc
 {
 
-namespace
-{
-
-/** Clamp for up-front reservations from caller-supplied bounds. */
-constexpr std::uint64_t maxReserveRecords = std::uint64_t{1} << 20;
-
-std::size_t
-clampReserve(std::uint64_t records)
-{
-    return static_cast<std::size_t>(
-        std::min(records, maxReserveRecords));
-}
-
-} // namespace
-
 VectorTrace::VectorTrace(std::vector<MemRef> refs, std::string name)
     : refs_(std::move(refs)), name_(std::move(name))
 {
-}
-
-bool
-VectorTrace::next(MemRef &out)
-{
-    if (pos_ >= refs_.size())
-        return false;
-    out = refs_[pos_++];
-    return true;
 }
 
 std::size_t
@@ -50,17 +26,6 @@ LimitSource::LimitSource(std::unique_ptr<TraceSource> inner,
     : inner_(std::move(inner)), limit_(limit)
 {
     ltc_assert(inner_ != nullptr, "LimitSource with null inner source");
-}
-
-bool
-LimitSource::next(MemRef &out)
-{
-    if (produced_ >= limit_)
-        return false;
-    if (!inner_->next(out))
-        return false;
-    produced_++;
-    return true;
 }
 
 std::size_t
@@ -86,15 +51,6 @@ ShiftSource::ShiftSource(std::unique_ptr<TraceSource> inner, Addr offset)
     ltc_assert(inner_ != nullptr, "ShiftSource with null inner source");
 }
 
-bool
-ShiftSource::next(MemRef &out)
-{
-    if (!inner_->next(out))
-        return false;
-    out.addr += offset_;
-    return true;
-}
-
 std::size_t
 ShiftSource::fill(std::span<MemRef> out)
 {
@@ -104,49 +60,15 @@ ShiftSource::fill(std::span<MemRef> out)
     return got;
 }
 
-CaptureSource::CaptureSource(std::unique_ptr<TraceSource> inner,
-                             std::uint64_t expected_refs)
-    : inner_(std::move(inner))
-{
-    ltc_assert(inner_ != nullptr, "CaptureSource with null inner source");
-    reserve(expected_refs);
-}
-
-void
-CaptureSource::reserve(std::uint64_t expected_refs)
-{
-    captured_.reserve(clampReserve(expected_refs));
-}
-
-bool
-CaptureSource::next(MemRef &out)
-{
-    if (!inner_->next(out))
-        return false;
-    captured_.push_back(out);
-    return true;
-}
-
-std::size_t
-CaptureSource::fill(std::span<MemRef> out)
-{
-    const std::size_t got = inner_->fill(out);
-    captured_.insert(captured_.end(), out.data(), out.data() + got);
-    return got;
-}
-
-void
-CaptureSource::reset()
-{
-    inner_->reset();
-    captured_.clear();
-}
-
 std::vector<MemRef>
 collect(TraceSource &source, std::uint64_t limit)
 {
+    // Clamp the up-front reservation to 1M records; past it,
+    // geometric growth takes over.
+    constexpr std::uint64_t maxReserveRecords = std::uint64_t{1} << 20;
     std::vector<MemRef> refs;
-    refs.reserve(clampReserve(limit));
+    refs.reserve(static_cast<std::size_t>(
+        std::min(limit, maxReserveRecords)));
     while (refs.size() < limit) {
         const std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(limit - refs.size(), 4096));

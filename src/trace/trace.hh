@@ -28,16 +28,15 @@ namespace ltc
 /**
  * A stream of memory references.
  *
- * Sources may be finite (next() eventually returns false) or infinite
- * (workload generators loop forever; engines bound them by reference
- * count). reset() restarts the stream from its beginning with identical
- * content — determinism is a hard requirement for reproducible
- * experiments.
+ * Sources may be finite (a fill() eventually comes back short) or
+ * infinite (workload generators loop forever; engines bound them by
+ * reference count). reset() restarts the stream from its beginning
+ * with identical content — determinism is a hard requirement for
+ * reproducible experiments.
  *
- * Engines pull references in batches through fill(); next() remains
- * the convenient scalar form. The two must produce the identical
- * stream for any interleaving of calls (the batch-equivalence
- * property test drives every adapter through both paths).
+ * fill() is the one place a source defines its stream; next() is one
+ * record of it. Engines and analyses pull batches through RefPuller,
+ * so a source's batched and one-at-a-time streams cannot differ.
  */
 class TraceSource
 {
@@ -45,30 +44,24 @@ class TraceSource
     virtual ~TraceSource() = default;
 
     /**
-     * Produce the next reference.
+     * Produce up to out.size() references into @p out.
+     *
+     * Returns the number of records written; a short return means end
+     * of trace. Concrete sources generate the whole batch in one call,
+     * so the per-record virtual hop is paid once per batch — the
+     * simulation engines' hot path.
+     */
+    virtual std::size_t fill(std::span<MemRef> out) = 0;
+
+    /**
+     * Produce the next reference: fill() of one record. Sources under
+     * src/ do not override it (tools/ltc_lint.py checks); it stays
+     * virtual so instrumenting wrappers can forward it.
      * @param out Filled in on success.
      * @retval true a record was produced.
      * @retval false end of trace.
      */
-    virtual bool next(MemRef &out) = 0;
-
-    /**
-     * Produce up to out.size() references into @p out.
-     *
-     * Returns the number of records written; a short return means end
-     * of trace (exactly like next() returning false). The default
-     * implementation loops over next(); concrete sources override it
-     * with batch loops that skip the per-record virtual dispatch —
-     * the simulation engines' hot path.
-     */
-    virtual std::size_t
-    fill(std::span<MemRef> out)
-    {
-        std::size_t n = 0;
-        while (n < out.size() && next(out[n]))
-            n++;
-        return n;
-    }
+    virtual bool next(MemRef &out) { return fill({&out, 1}) == 1; }
 
     /** Restart the stream; the replayed content must be identical. */
     virtual void reset() = 0;
@@ -139,7 +132,6 @@ class VectorTrace final : public TraceSource
     explicit VectorTrace(std::vector<MemRef> refs,
                          std::string name = "vector");
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override { pos_ = 0; }
     std::string name() const override { return name_; }
@@ -158,7 +150,6 @@ class LimitSource final : public TraceSource
   public:
     LimitSource(std::unique_ptr<TraceSource> inner, std::uint64_t limit);
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override;
     std::string name() const override { return inner_->name(); }
@@ -175,7 +166,6 @@ class ShiftSource final : public TraceSource
   public:
     ShiftSource(std::unique_ptr<TraceSource> inner, Addr offset);
 
-    bool next(MemRef &out) override;
     std::size_t fill(std::span<MemRef> out) override;
     void reset() override { inner_->reset(); }
     std::string name() const override { return inner_->name(); }
@@ -186,46 +176,11 @@ class ShiftSource final : public TraceSource
 };
 
 /**
- * Tees every record produced by @c inner into a capture buffer; used
- * by analyses that need to replay the identical stream several times.
- */
-class CaptureSource final : public TraceSource
-{
-  public:
-    /**
-     * @param expected_refs Capacity hint: reserve the capture buffer
-     *        up front so capture-heavy analyses (Figs. 6/7) do not
-     *        pay reallocation churn while recording. 0 = grow on
-     *        demand (huge hints are clamped; see reserve()).
-     */
-    explicit CaptureSource(std::unique_ptr<TraceSource> inner,
-                           std::uint64_t expected_refs = 0);
-
-    bool next(MemRef &out) override;
-    std::size_t fill(std::span<MemRef> out) override;
-    void reset() override;
-    std::string name() const override { return inner_->name(); }
-
-    /**
-     * Reserve buffer capacity for @p expected_refs records, clamped
-     * to 1M records (a lying bound must not drive a giant up-front
-     * allocation; past the clamp geometric growth takes over).
-     */
-    void reserve(std::uint64_t expected_refs);
-
-    const std::vector<MemRef> &captured() const { return captured_; }
-    std::vector<MemRef> takeCaptured() { return std::move(captured_); }
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    std::vector<MemRef> captured_;
-};
-
-/**
  * Materialise the first @p limit records of @p source into a vector,
- * pulling in batches through fill(). The result is reserved up front
- * (clamped like CaptureSource::reserve()), so replay buffers handed
- * to VectorTrace are right-sized from the start.
+ * pulling in batches through fill(). The result is reserved up front,
+ * clamped to 1M records (a lying bound must not drive a giant
+ * allocation), so replay buffers handed to VectorTrace are
+ * right-sized from the start.
  */
 std::vector<MemRef> collect(TraceSource &source, std::uint64_t limit);
 

@@ -95,26 +95,6 @@ TEST(ShiftSourceTest, AddsOffset)
     EXPECT_EQ(out.pc, refs[0].pc); // PCs unchanged
 }
 
-TEST(CaptureSourceTest, CapturesStream)
-{
-    auto refs = sampleRefs(6);
-    CaptureSource cap(std::make_unique<VectorTrace>(refs));
-    MemRef out;
-    while (cap.next(out)) {
-    }
-    EXPECT_EQ(cap.captured().size(), 6u);
-    EXPECT_TRUE(cap.captured()[2] == refs[2]);
-}
-
-TEST(CaptureSourceTest, ResetClearsCapture)
-{
-    CaptureSource cap(std::make_unique<VectorTrace>(sampleRefs(3)));
-    MemRef out;
-    cap.next(out);
-    cap.reset();
-    EXPECT_TRUE(cap.captured().empty());
-}
-
 TEST(CollectTest, GathersUpToLimit)
 {
     VectorTrace t(sampleRefs(10));
@@ -133,8 +113,6 @@ class RecordingSource final : public TraceSource
         : refs(sampleRefs(records)), inner_(refs)
     {
     }
-
-    bool next(MemRef &out) override { return inner_.next(out); }
 
     std::size_t
     fill(std::span<MemRef> out) override
