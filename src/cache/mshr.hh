@@ -103,7 +103,6 @@ class MshrFile
 
     // LTC_HOT_END
 
-    std::uint32_t capacity() const { return capacity_; }
     std::uint32_t outstanding() const
     {
         return static_cast<std::uint32_t>(entries_.size());

@@ -296,17 +296,6 @@ LtCords::auditInvariants() const
     });
 }
 
-void
-LtCords::clear()
-{
-    history_.clear();
-    sigCache_.clear();
-    storage_.clear();
-    streams_.assign(config_.numFrames, StreamState{});
-    pending_.clear();
-    outstanding_.clear();
-}
-
 std::uint64_t
 LtCords::onChipBytes() const
 {

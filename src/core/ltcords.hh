@@ -71,15 +71,10 @@ class LtCords : public Prefetcher
      */
     void auditInvariants() const override;
 
-    /** Drop all predictor state (not normally done; see Section 5.5). */
-    void clear();
-
     /** Configuration the engine was built with. */
     const LtcordsConfig &config() const { return config_; }
     /** Off-chip sequence storage (read access for stats/tests). */
     const SequenceStorage &storage() const { return storage_; }
-    /** On-chip signature cache (read access for stats/tests). */
-    const SignatureCache &signatureCache() const { return sigCache_; }
 
     /** On-chip storage in bytes (signature cache + tag array). */
     std::uint64_t onChipBytes() const;

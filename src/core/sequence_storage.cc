@@ -97,25 +97,6 @@ SequenceStorage::residentSignatures() const
 }
 
 std::uint32_t
-SequenceStorage::tenantFrames(std::uint32_t tenant) const
-{
-    std::uint32_t n = 0;
-    for (const Frame &f : frames_)
-        n += (f.valid && f.owner == tenant) ? 1 : 0;
-    return n;
-}
-
-std::uint64_t
-SequenceStorage::tenantResidentSignatures(std::uint32_t tenant) const
-{
-    std::uint64_t n = 0;
-    for (const Frame &f : frames_)
-        if (f.valid && f.owner == tenant)
-            n += f.sigs.size();
-    return n;
-}
-
-std::uint32_t
 SequenceStorage::framesInUse() const
 {
     std::uint32_t n = 0;
@@ -181,19 +162,6 @@ SequenceStorage::auditInvariants() const
     LTC_CHECK(resident <= recordedTotal_, resident,
               " resident signatures exceed ", recordedTotal_,
               " ever recorded");
-}
-
-void
-SequenceStorage::clear()
-{
-    for (Frame &f : frames_) {
-        f.valid = false;
-        f.owner = 0;
-        f.sigs.clear();
-    }
-    recordFrame_.reset();
-    recentPos_ = 0;
-    std::fill(recentKeys_.begin(), recentKeys_.end(), 0);
 }
 
 } // namespace ltc

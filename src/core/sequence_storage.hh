@@ -101,16 +101,9 @@ class SequenceStorage
      * Attribute subsequently recorded fragments to @p tenant
      * (multi-programming, Section 5.5 scaled out). Cold path: set
      * once per scheduling quantum. Frames record their owner when a
-     * fragment begins, which is what the occupancy and interference
-     * counters below aggregate.
+     * fragment begins, which is what crossTenantConflicts() compares.
      */
     void setTenant(std::uint32_t tenant) { currentTenant_ = tenant; }
-
-    /** Frames currently holding a fragment owned by @p tenant. */
-    std::uint32_t tenantFrames(std::uint32_t tenant) const;
-
-    /** Signatures resident in frames owned by @p tenant. */
-    std::uint64_t tenantResidentSignatures(std::uint32_t tenant) const;
 
     /**
      * Frame conflicts where the new fragment's tenant overwrote a
@@ -135,9 +128,6 @@ class SequenceStorage
     std::uint64_t drainWriteBytes();
     /** Off-chip bytes read since the last drain (seq. fetch). */
     std::uint64_t drainReadBytes();
-
-    /** Drop all recorded sequences. */
-    void clear();
 
     /**
      * LTC_CHECK every frame-link invariant: a valid frame's head key

@@ -64,12 +64,6 @@ SignatureCache::invalidateFrame(std::uint32_t frame)
     }
 }
 
-void
-SignatureCache::clear()
-{
-    std::fill(fill_.begin(), fill_.end(), 0);
-}
-
 std::uint32_t
 SignatureCache::occupancy() const
 {

@@ -108,14 +108,8 @@ class SignatureCache
      */
     void selectTenant(std::uint32_t tenant);
 
-    /** Number of partition slices (1 = shared mode). */
-    std::uint32_t partitions() const { return partitions_; }
-
     /** Invalidate all entries pointing into @p frame (re-recording). */
     void invalidateFrame(std::uint32_t frame);
-
-    /** Drop everything. */
-    void clear();
 
     /** Total entry capacity. */
     std::uint32_t entries() const { return entries_; }
@@ -124,8 +118,6 @@ class SignatureCache
     /** Number of sets (entries / assoc). */
     std::uint32_t numSets() const { return sets_; }
 
-    /** Lifetime insert count. */
-    std::uint64_t inserts() const { return inserts_; }
     /** Entries displaced by FIFO replacement. */
     std::uint64_t fifoEvictions() const { return fifoEvictions_; }
     /** Lifetime lookup count. */
@@ -169,7 +161,6 @@ class SignatureCache
     std::vector<SigPayload> payload_;
     std::uint64_t stamp_ = 0;
 
-    std::uint64_t inserts_ = 0;
     std::uint64_t fifoEvictions_ = 0;
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;
@@ -214,7 +205,6 @@ SignatureCache::lookup(std::uint64_t key)
 inline void
 SignatureCache::insert(const SigCacheEntry &entry)
 {
-    inserts_++;
     const std::size_t base =
         static_cast<std::size_t>(setOf(entry.key)) * assoc_;
 

@@ -204,13 +204,4 @@ Dbcp::storedSignatures() const
     return n;
 }
 
-void
-Dbcp::clear()
-{
-    oracle_.clear();
-    for (TableLine &line : table_)
-        line.valid = false;
-    history_.clear();
-}
-
 } // namespace ltc

@@ -74,9 +74,6 @@ class Dbcp : public Prefetcher
     /** Signatures currently stored (distinct keys). */
     std::uint64_t storedSignatures() const;
 
-    /** Drop all learned state. */
-    void clear();
-
     const DbcpConfig &config() const { return config_; }
 
   private:

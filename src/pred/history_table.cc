@@ -45,16 +45,6 @@ HistoryTable::closeWindow(std::uint32_t set, Addr victim_block)
     e.evicted[0] = victim_block & ~static_cast<Addr>(lineBytes_ - 1);
 }
 
-void
-HistoryTable::clear()
-{
-    for (Entry &e : entries_) {
-        e.trace.clear();
-        e.evicted[0] = invalidAddr;
-        e.evicted[1] = invalidAddr;
-    }
-}
-
 std::uint64_t
 HistoryTable::storageBits(std::uint32_t tag_bits) const
 {

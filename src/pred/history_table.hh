@@ -75,9 +75,6 @@ class HistoryTable
      */
     void closeWindow(std::uint32_t set, Addr victim_block);
 
-    /** Forget everything (context-switch loss experiments). */
-    void clear();
-
     std::uint32_t numSets() const
     {
         return static_cast<std::uint32_t>(entries_.size());

@@ -80,11 +80,4 @@ MarkovPrefetcher::exportStats(StatSet &set) const
     set.set("storage_bytes", static_cast<double>(storageBytes()));
 }
 
-void
-MarkovPrefetcher::clear()
-{
-    table_.assign(config_.entries, Entry{});
-    lastMissBlock_ = invalidAddr;
-}
-
 } // namespace ltc

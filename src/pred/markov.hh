@@ -47,8 +47,6 @@ class MarkovPrefetcher : public Prefetcher
     std::string name() const override { return "markov"; }
     void exportStats(StatSet &set) const override;
 
-    void clear();
-
     /** On-chip bytes at ~8B per (tag, successor) pair. */
     std::uint64_t
     storageBytes() const

@@ -70,10 +70,4 @@ StridePrefetcher::exportStats(StatSet &set) const
     set.set("prefetches_issued", static_cast<double>(issued_));
 }
 
-void
-StridePrefetcher::clear()
-{
-    table_.assign(config_.entries, Entry{});
-}
-
 } // namespace ltc

@@ -36,8 +36,6 @@ class StridePrefetcher : public Prefetcher
     std::string name() const override { return "stride"; }
     void exportStats(StatSet &set) const override;
 
-    void clear();
-
   private:
     struct Entry
     {

@@ -41,8 +41,6 @@ class Table
     /** Render as CSV (header + rows). */
     std::string csv() const;
 
-    std::size_t numRows() const { return rows_.size(); }
-
     /** Table title ("" if none). */
     const std::string &title() const { return title_; }
 

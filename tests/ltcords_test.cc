@@ -100,16 +100,6 @@ TEST(SignatureCacheTest, StorageBytesMatchesPaper)
     EXPECT_EQ(sc.storageBytes(), 32u * 1024u * 42u / 8u);
 }
 
-TEST(SignatureCacheTest, ClearAndOccupancy)
-{
-    SignatureCache sc(8, 2);
-    sc.insert(entry(1));
-    sc.insert(entry(2));
-    EXPECT_EQ(sc.occupancy(), 2u);
-    sc.clear();
-    EXPECT_EQ(sc.occupancy(), 0u);
-}
-
 TEST(SignatureCacheDeathTest, BadGeometry)
 {
     EXPECT_DEATH(SignatureCache(10, 3), "multiple of assoc");
@@ -205,16 +195,6 @@ TEST(SequenceStorageTest, TrafficAccounting)
     EXPECT_EQ(st.drainReadBytes(), 20u);
 }
 
-TEST(SequenceStorageTest, ClearEmpties)
-{
-    SequenceStorage st(tinyStorageConfig());
-    for (int i = 0; i < 10; i++)
-        st.record(static_cast<std::uint64_t>(i), 0, 0);
-    st.clear();
-    EXPECT_EQ(st.residentSignatures(), 0u);
-    EXPECT_EQ(st.framesInUse(), 0u);
-}
-
 TEST(SequenceStorageTest, HeadRingWrapsWithoutSkew)
 {
     // Regression for the head-history ring: with a non-power-of-two
@@ -291,8 +271,6 @@ TEST(SequenceStorageTest, AdversarialStreamsKeepInvariants)
     EXPECT_LE(st.residentSignatures(),
               static_cast<std::uint64_t>(c.numFrames) *
                   c.fragmentSignatures);
-    st.clear();
-    st.auditInvariants();
 }
 
 TEST(SequenceStorageTest, CapacityMatchesPaper)
@@ -402,34 +380,20 @@ TEST(LtCordsTest, OnChipBudgetIsPractical)
 
 TEST(LtCordsTest, StreamLatencyDefersInstallation)
 {
+    // The scan overflows the L1, so LT-cords records and streams it.
+    // Without setNow() advancing past the stream latency, signatures
+    // never arrive and coverage stays zero; with the latency off, the
+    // same run covers the scan.
     LtcordsConfig cfg = testLtcConfig();
     cfg.modelStreamLatency = true;
     cfg.streamLatencyCycles = 1'000'000'000; // effectively never
-    LtCords ltc(cfg);
-    ScanArray a;
-    a.base = 0x10000000;
-    a.blocks = 1024;
-    a.accessesPerBlock = 2;
-    StridedScanSource src({a}, 1);
-    // Without setNow() advancing past the stream latency, signatures
-    // never arrive and coverage stays zero.
-    auto stats = runWithOpportunity(HierarchyConfig{}, &ltc, src,
-                                    6 * 2048);
-    EXPECT_EQ(stats.correct, 0u);
-}
+    const CoverageStats deferred = runLtcScan(cfg, 4096, 10 * 8192);
+    EXPECT_GT(deferred.opportunity, 0u);
+    EXPECT_EQ(deferred.correct, 0u);
 
-TEST(LtCordsTest, ClearForgetsEverything)
-{
-    LtCords ltc(testLtcConfig());
-    ScanArray a;
-    a.base = 0x10000000;
-    a.blocks = 1024;
-    a.accessesPerBlock = 2;
-    StridedScanSource src({a}, 1);
-    runWithOpportunity(HierarchyConfig{}, &ltc, src, 6 * 2048);
-    ltc.clear();
-    EXPECT_EQ(ltc.storage().recordedTotal(), 0u);
-    EXPECT_EQ(ltc.signatureCache().occupancy(), 0u);
+    cfg.modelStreamLatency = false;
+    const CoverageStats control = runLtcScan(cfg, 4096, 10 * 8192);
+    EXPECT_GT(control.coverage(), 0.6);
 }
 
 TEST(LtCordsTest, ConfidenceFeedbackReachesStorage)

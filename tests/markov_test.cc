@@ -127,7 +127,7 @@ TEST(MarkovTest, RandomStreamLearnsNothingUseful)
     EXPECT_LT(reqs.size(), seq.size() / 4);
 }
 
-TEST(MarkovTest, StatsAndClear)
+TEST(MarkovTest, ExportsStats)
 {
     MarkovPrefetcher mp(MarkovConfig{});
     feedMisses(mp, {0x1000, 0x2000, 0x1000, 0x2000});
@@ -135,9 +135,6 @@ TEST(MarkovTest, StatsAndClear)
     mp.exportStats(s);
     EXPECT_GT(s.get("misses_observed"), 0.0);
     EXPECT_GT(s.get("updates"), 0.0);
-    mp.clear();
-    auto reqs = feedMisses(mp, {0x1000});
-    EXPECT_TRUE(reqs.empty());
 }
 
 TEST(MarkovTest, StorageEstimate)

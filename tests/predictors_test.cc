@@ -77,16 +77,6 @@ TEST(HistoryTableTest, EvictedTagHistoryDepthTwo)
     EXPECT_EQ(a.signatureKey(0), b.signatureKey(0));
 }
 
-TEST(HistoryTableTest, ClearForgets)
-{
-    HistoryTable h(4, 64);
-    h.recordAccess(0, 0x100);
-    h.closeWindow(0, 0x1000);
-    h.clear();
-    HistoryTable fresh(4, 64);
-    EXPECT_EQ(h.signatureKey(0), fresh.signatureKey(0));
-}
-
 TEST(HistoryTableTest, StorageEstimate)
 {
     HistoryTable h(512, 64);
@@ -165,14 +155,6 @@ TEST(DbcpTest, Name)
     DbcpConfig c;
     c.tableEntries = DbcpConfig::entriesForBytes(2 * 1024 * 1024);
     EXPECT_EQ(Dbcp(c).name(), "dbcp-2048KB");
-}
-
-TEST(DbcpTest, ClearForgets)
-{
-    Dbcp dbcp(DbcpConfig{});
-    runScan(&dbcp, 1024, 3 * 2048);
-    dbcp.clear();
-    EXPECT_EQ(dbcp.storedSignatures(), 0u);
 }
 
 TEST(DbcpTest, EntriesForBytes)
