@@ -27,6 +27,13 @@ but a compiler cannot enforce:
                 from its path (src/cache/mshr.hh -> LTC_CACHE_MSHR_HH)
                 so guards cannot collide as the tree grows.
 
+  fill-only     No class under src/ overrides TraceSource::next(): a
+                source defines its stream in fill() alone, and next()
+                is the base class's fill() of one record, so the
+                batched and one-at-a-time streams cannot differ.
+                next() stays virtual for instrumenting wrappers, which
+                live outside src/ (perfbench/, tests/) and are exempt.
+
 Exit status is the number of violations (0 = clean). `--self-test`
 runs the rule engine against the fixtures in tools/lint_fixtures/ and
 verifies each bad fixture trips exactly the rule it is named for
@@ -191,6 +198,19 @@ def check_header_guard(root, path, text):
     return []
 
 
+NEXT_OVERRIDE = re.compile(
+    r"\bnext\s*\(\s*(?:ltc\s*::\s*)?MemRef\s*&[^)]*\)\s*"
+    r"(?:const\s*)?(?:override|final)\b")
+
+
+def check_fill_only(path, text):
+    code = strip_comments_and_strings(text)
+    return [Violation(
+        "fill-only", path, code[:m.start()].count("\n") + 1,
+        "next() override: define the stream in fill() only")
+        for m in NEXT_OVERRIDE.finditer(code)]
+
+
 def lint_tree(root):
     violations = []
     cmake = root / "CMakeLists.txt"
@@ -199,6 +219,9 @@ def lint_tree(root):
         text = path.read_text()
         violations += check_hot_regions(path, text)
         violations += check_header_guard(root, path, text)
+        violations += check_fill_only(path, text)
+    for path in sorted((root / "src").rglob("*.cc")):
+        violations += check_fill_only(path, path.read_text())
     for sub in ("src", "tests", "bench", "tools", "examples"):
         for pattern in ("*.cc", "*.cpp"):
             for path in sorted((root / sub).rglob(pattern)):
@@ -239,6 +262,7 @@ def self_test(fixtures):
         rules = set()
         rules.update(v.rule for v in check_hot_regions(path, text))
         rules.update(v.rule for v in check_golden_print(path, text))
+        rules.update(v.rule for v in check_fill_only(path, text))
         if path.suffix == ".hh":
             # header-guard expectations are path-derived; fixtures sit
             # one level under lint_fixtures/, which stands in for src/,
