@@ -27,6 +27,7 @@
 #include "pred/history_table.hh"
 #include "sim/experiment.hh"
 #include "sim/trace_engine.hh"
+#include "trace/trace.hh"
 #include "trace/workloads.hh"
 #include "util/random.hh"
 
@@ -242,16 +243,17 @@ ltcordsObservePath()
     });
 }
 
+// Both pull RefPuller::batchRefs-record batches through fill(), as
+// the engines do.
+
 double
 workloadGeneration()
 {
     auto src = makeWorkload("mcf");
-    MemRef ref;
+    RefPuller puller;
     return nsPerOp([&](std::uint64_t n) {
-        for (std::uint64_t i = 0; i < n; i++) {
-            src->next(ref);
-            consume(ref.addr);
-        }
+        puller.forEach(*src, n,
+                       [](const MemRef &ref) { consume(ref.addr); });
     });
 }
 
@@ -261,12 +263,10 @@ traceEngineStep()
     auto pred = makePredictor("lt-cords", paperHierarchy());
     TraceEngine engine(paperHierarchy(), pred.get());
     auto src = makeWorkload("swim");
-    MemRef ref;
+    RefPuller puller;
     return nsPerOp([&](std::uint64_t n) {
-        for (std::uint64_t i = 0; i < n; i++) {
-            src->next(ref);
-            engine.step(ref);
-        }
+        puller.forEach(*src, n,
+                       [&engine](const MemRef &ref) { engine.step(ref); });
     });
 }
 
