@@ -34,9 +34,10 @@ namespace ltc
  * with identical content — determinism is a hard requirement for
  * reproducible experiments.
  *
- * fill() is the one place a source defines its stream; next() is one
- * record of it. Engines and analyses pull batches through RefPuller,
- * so a source's batched and one-at-a-time streams cannot differ.
+ * fill() is the one place a source defines its stream, and next() is
+ * fill() of one record, so a source's batched and one-at-a-time
+ * streams cannot differ. Engines and analyses pull batches through
+ * RefPuller.
  */
 class TraceSource
 {

@@ -172,12 +172,11 @@ makeWorkloadMcf()
 }
 
 const SourceCase kSources[] = {
-    {"vector", makeVector},       {"limit", makeLimited},
-    {"shift", makeShifted},       {"scan", makeScan},
-    {"chase", makeChase},
-    {"tree", makeTree},           {"hash", makeHash},
-    {"interleave", makeInterleave}, {"phases", makePhases},
-    {"workload:mcf", makeWorkloadMcf},
+    {"vector", makeVector},     {"limit", makeLimited},
+    {"shift", makeShifted},     {"scan", makeScan},
+    {"chase", makeChase},       {"tree", makeTree},
+    {"hash", makeHash},         {"interleave", makeInterleave},
+    {"phases", makePhases},     {"workload:mcf", makeWorkloadMcf},
 };
 
 /** Deterministic "random" batch-size schedule. */
