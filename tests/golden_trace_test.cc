@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ltcords.hh"
@@ -40,6 +41,7 @@
 #include "trace/primitives.hh"
 #include "trace/trace_io.hh"
 #include "trace/workloads.hh"
+#include "util/hash.hh"
 #include "util/random.hh"
 
 namespace ltc
@@ -345,6 +347,37 @@ const BaselineWritebackGolden kBaselineWritebackGolden[] = {
 };
 
 /**
+ * Container expectations (exact) per fixture: the structure
+ * probeTraceFile walks (chunks, payload and file bytes), the header
+ * fields probeTraceHeader reads, and the FNV-1a-64 digest of the
+ * records, which every read path must reproduce: the streaming
+ * reader's fill() at several batch sizes (one of them a whole
+ * chunk), readTraceFile(), a v2 -> v2 conversion and a v1 round trip.
+ */
+struct ContainerGolden
+{
+    const char *file;
+    std::uint32_t version;
+    std::uint64_t records;
+    std::uint32_t chunkRecords;
+    std::uint64_t chunks;
+    std::uint64_t payloadBytes;
+    std::uint64_t fileBytes;
+    std::uint64_t digest; //!< over each record's fields, in order
+};
+
+const ContainerGolden kContainerGolden[] = {
+    {"strided_scan.ltct", 2, 65536, 8192, 8, 196640, 196800,
+     0x731f58a99d1a3325ULL},
+    {"pointer_chase.ltct", 2, 32768, 8192, 4, 161628, 161724,
+     0x69c318ac612b63c5ULL},
+    {"interleave.ltct", 2, 40960, 8192, 5, 169717, 169829,
+     0xb46e254b63c92816ULL},
+    {"tree_walk.ltct", 2, 32760, 8192, 4, 122348, 122444,
+     0x2cfc3f732a519755ULL},
+};
+
+/**
  * Per-policy baseline expectations (exact): the trace engine with no
  * predictor over the interleave fixture, one row per replacement
  * policy. Pins every plugin's victim selection bit-for-bit — and
@@ -617,6 +650,67 @@ printMode()
     return std::getenv("LTC_GOLDEN_PRINT") != nullptr;
 }
 
+/** Record count and running FNV-1a-64 digest of a record stream. */
+struct RecordDigest
+{
+    std::uint64_t records = 0;
+    std::uint64_t digest = 14695981039346656037ULL;
+
+    /** Fold in @p r's fields, little-endian. */
+    void
+    add(const MemRef &r)
+    {
+        unsigned char b[8 + 8 + 1 + 4 + 1];
+        for (int i = 0; i < 8; i++) {
+            b[i] = static_cast<unsigned char>(r.pc >> (8 * i));
+            b[8 + i] = static_cast<unsigned char>(r.addr >> (8 * i));
+        }
+        b[16] = r.op == MemOp::Store ? 1 : 0;
+        for (int i = 0; i < 4; i++)
+            b[17 + i] = static_cast<unsigned char>(r.nonMemGap >> (8 * i));
+        b[21] = r.dependsOnPrev ? 1 : 0;
+        digest = fnv1a64(b, sizeof(b), digest);
+        records++;
+    }
+};
+
+RecordDigest
+digestOf(const std::vector<MemRef> &refs)
+{
+    RecordDigest d;
+    for (const MemRef &r : refs)
+        d.add(r);
+    return d;
+}
+
+/** Read @p path through StreamingTraceReader::fill, @p batch at a time. */
+RecordDigest
+digestByFill(const std::string &path, std::size_t batch)
+{
+    StreamingTraceReader reader(path);
+    EXPECT_TRUE(reader.ok()) << traceErrcName(reader.error());
+    std::vector<MemRef> buf(batch);
+    RecordDigest d;
+    std::size_t got;
+    do {
+        got = reader.fill(buf);
+        for (std::size_t i = 0; i < got; i++)
+            d.add(buf[i]);
+    } while (got == batch);
+    EXPECT_TRUE(reader.ok()) << traceErrcName(reader.error());
+    return d;
+}
+
+/** readTraceFile(@p path), which must succeed. */
+std::vector<MemRef>
+readOk(const std::string &path)
+{
+    TraceErrc err = TraceErrc::Ok;
+    std::vector<MemRef> refs = readTraceFile(path, &err);
+    EXPECT_EQ(err, TraceErrc::Ok) << traceErrcName(err);
+    return refs;
+}
+
 CoverageStats
 runTraceEngine(const std::string &file)
 {
@@ -694,6 +788,71 @@ TEST(GoldenFixtures, CompressionBeatsV1ByAtLeast4x)
             << "v2 must stay >=4x smaller than the v1 encoding ("
             << info.fileBytes << " vs " << info.v1EquivalentBytes()
             << " bytes)";
+    }
+}
+
+TEST(GoldenFixtures, ContainerReadsMatchExactly)
+{
+    ASSERT_EQ(std::size(kContainerGolden), std::size(kFixtures));
+    const std::string scratch = ::testing::TempDir() + "/golden_container";
+    for (std::size_t i = 0; i < std::size(kFixtures); i++) {
+        const ContainerGolden &g = kContainerGolden[i];
+        SCOPED_TRACE(kFixtures[i].file);
+        const std::string path = dataPath(kFixtures[i].file);
+
+        TraceFileInfo walked, header;
+        ASSERT_EQ(probeTraceFile(path, walked), TraceErrc::Ok);
+        ASSERT_EQ(probeTraceHeader(path, header), TraceErrc::Ok);
+
+        // Every way of reading the container yields the same records.
+        const std::vector<MemRef> refs = readOk(path);
+        ASSERT_EQ(convertTraceFile(path, scratch + ".ltct"),
+                  TraceErrc::Ok);
+        writeTraceFileV1(scratch + ".v1", refs);
+        const std::vector<std::pair<const char *, RecordDigest>> reads = {
+            {"fill x1", digestByFill(path, 1)},
+            {"fill x256", digestByFill(path, 256)},
+            {"fill x8192", digestByFill(path, kFixtureChunk)},
+            {"readTraceFile", digestOf(refs)},
+            {"converted", digestOf(readOk(scratch + ".ltct"))},
+            {"v1", digestOf(readOk(scratch + ".v1"))},
+        };
+        std::remove((scratch + ".ltct").c_str());
+        std::remove((scratch + ".v1").c_str());
+
+        if (printMode()) {
+            std::printf("    {\"%s\", %u, %llu, %u, %llu, %llu, %llu, "
+                        "0x%016llxULL},\n",
+                        kFixtures[i].file, walked.version,
+                        static_cast<unsigned long long>(walked.records),
+                        header.chunkRecords,
+                        static_cast<unsigned long long>(walked.chunks),
+                        static_cast<unsigned long long>(
+                            walked.payloadBytes),
+                        static_cast<unsigned long long>(walked.fileBytes),
+                        static_cast<unsigned long long>(
+                            reads.front().second.digest));
+            continue;
+        }
+        EXPECT_EQ(g.file, std::string(kFixtures[i].file));
+        EXPECT_EQ(walked.version, g.version);
+        EXPECT_EQ(walked.records, g.records);
+        EXPECT_EQ(walked.chunkRecords, g.chunkRecords);
+        EXPECT_EQ(walked.chunks, g.chunks);
+        EXPECT_EQ(walked.payloadBytes, g.payloadBytes);
+        EXPECT_EQ(walked.fileBytes, g.fileBytes);
+        // The header probe reads no chunk.
+        EXPECT_EQ(header.version, g.version);
+        EXPECT_EQ(header.records, g.records);
+        EXPECT_EQ(header.chunkRecords, g.chunkRecords);
+        EXPECT_EQ(header.chunks, 0u);
+        EXPECT_EQ(header.payloadBytes, 0u);
+        EXPECT_EQ(header.fileBytes, g.fileBytes);
+        for (const auto &[how, d] : reads) {
+            SCOPED_TRACE(how);
+            EXPECT_EQ(d.records, g.records);
+            EXPECT_EQ(d.digest, g.digest);
+        }
     }
 }
 
