@@ -74,8 +74,10 @@ main(int argc, char **argv)
         // show the conversion path (ltc-trace convert does the same,
         // and also imports ChampSim instruction traces).
         const std::string v1_path = "custom_demo_trace_v1.bin";
-        writeTraceFileV1(v1_path, readTraceFile(path));
-        errc = convertTraceFile(v1_path, "custom_demo_trace_conv.ltct");
+        errc = writeTraceFileV1(v1_path, readTraceFile(path));
+        if (errc == TraceErrc::Ok)
+            errc = convertTraceFile(v1_path,
+                                    "custom_demo_trace_conv.ltct");
         if (errc != TraceErrc::Ok) {
             std::fprintf(stderr, "conversion failed: %s\n",
                          traceErrcMessage(errc));

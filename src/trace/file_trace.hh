@@ -7,8 +7,10 @@
  * writeTraceFile() produces the chunked, delta-compressed .ltct v2
  * container; readTraceFile() and FileTrace accept both v2 and the
  * legacy v1 eager format (see trace/trace_io.hh and
- * docs/TRACE_FORMAT.md). FileTrace replays through the streaming
- * reader, so its memory stays O(chunk) however long the trace is.
+ * docs/TRACE_FORMAT.md). These are the fatal-on-error conveniences
+ * over trace_io.hh's typed-error container code: both read through
+ * StreamingTraceReader::fill(), so FileTrace's memory stays O(chunk)
+ * however long the trace is.
  */
 
 #ifndef LTC_TRACE_FILE_TRACE_HH
@@ -28,15 +30,6 @@ namespace ltc
 /** Write @p refs to @p path as a v2 container; fatal on I/O failure. */
 void writeTraceFile(const std::string &path,
                     const std::vector<MemRef> &refs);
-
-/**
- * Write @p refs in the legacy v1 eager format (16-byte header plus
- * fixed 22-byte records). Kept for compatibility tests and for
- * producing inputs to the v1 -> v2 conversion path; new traces should
- * use writeTraceFile() / StreamingTraceWriter.
- */
-void writeTraceFileV1(const std::string &path,
-                      const std::vector<MemRef> &refs);
 
 /**
  * Read an entire trace file (v1 or v2).

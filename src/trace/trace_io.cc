@@ -158,13 +158,17 @@ decodeV1Record(const unsigned char *p)
 }
 
 /**
- * Parse a container header from @p f (positioned at the start).
- * On success fills version/records/chunk capacity and leaves the
- * stream at the first record/chunk.
+ * Parse a container header from @p f (positioned at the start) and
+ * leave the stream at the first record or chunk. @p file_bytes
+ * receives the file's size. A v2 record count the file cannot hold
+ * is a BadHeader, so a corrupt count cannot drive huge allocations or
+ * endless chunk loops: no encoding packs a record into fewer than 3
+ * payload bytes. (v1 counts are detected lazily as TruncatedChunk so
+ * a truncated body keeps its historical error.)
  */
 TraceErrc
 readHeader(std::FILE *f, std::uint32_t &version, std::uint64_t &records,
-           std::uint32_t &chunk_records)
+           std::uint32_t &chunk_records, std::uint64_t &file_bytes)
 {
     unsigned char header[v2HeaderBytes];
     if (std::fread(header, 1, v1HeaderBytes, f) != v1HeaderBytes)
@@ -175,43 +179,64 @@ readHeader(std::FILE *f, std::uint32_t &version, std::uint64_t &records,
     if (version == 1) {
         records = getU32(header + 12);
         chunk_records = v1BufferRecords;
-        return TraceErrc::Ok;
-    }
-    if (version != 2)
+    } else if (version != 2) {
         return TraceErrc::UnsupportedVersion;
-    if (std::fread(header + v1HeaderBytes, 1,
-                   v2HeaderBytes - v1HeaderBytes,
-                   f) != v2HeaderBytes - v1HeaderBytes) {
-        return TraceErrc::TruncatedHeader;
+    } else {
+        if (std::fread(header + v1HeaderBytes, 1,
+                       v2HeaderBytes - v1HeaderBytes,
+                       f) != v2HeaderBytes - v1HeaderBytes) {
+            return TraceErrc::TruncatedHeader;
+        }
+        chunk_records = getU32(header + 12);
+        records = getU64(header + 16);
+        if (chunk_records == 0 || chunk_records > maxChunkRecords)
+            return TraceErrc::BadHeader;
     }
-    chunk_records = getU32(header + 12);
-    records = getU64(header + 16);
-    if (chunk_records == 0 || chunk_records > maxChunkRecords)
-        return TraceErrc::BadHeader;
+
+    const long data_start = std::ftell(f);
+    if (std::fseek(f, 0, SEEK_END) != 0)
+        return TraceErrc::Ok;
+    const long size = std::ftell(f);
+    if (size >= 0) {
+        file_bytes = static_cast<std::uint64_t>(size);
+        if (version == 2 && records > file_bytes / 3 + 1)
+            return TraceErrc::BadHeader;
+    }
+    if (std::fseek(f, data_start, SEEK_SET) != 0)
+        return TraceErrc::TruncatedHeader;
     return TraceErrc::Ok;
 }
 
-/** Parse a chunk header; validates counts against the file header. */
+/**
+ * Read the next v2 chunk from @p f: its header, validated against the
+ * chunk capacity and the @p remaining_records the file header still
+ * promises, then its payload into @p payload, verified against the
+ * header's FNV-1a checksum. @p count receives the chunk's record
+ * count.
+ */
 TraceErrc
-readChunkHeader(std::FILE *f, std::uint32_t chunk_capacity,
-                std::uint64_t remaining_records,
-                std::uint32_t &chunk_count,
-                std::uint32_t &payload_bytes, std::uint32_t &checksum)
+readChunk(std::FILE *f, std::uint32_t chunk_capacity,
+          std::uint64_t remaining_records, std::uint32_t &count,
+          std::vector<unsigned char> &payload)
 {
     unsigned char header[chunkHeaderBytes];
-    const std::size_t got =
-        std::fread(header, 1, chunkHeaderBytes, f);
-    if (got != chunkHeaderBytes)
+    if (std::fread(header, 1, chunkHeaderBytes, f) != chunkHeaderBytes)
         return TraceErrc::TruncatedChunk;
-    chunk_count = getU32(header);
-    payload_bytes = getU32(header + 4);
-    checksum = getU32(header + 8);
-    if (chunk_count == 0 || chunk_count > chunk_capacity)
+    count = getU32(header);
+    const std::uint32_t payload_bytes = getU32(header + 4);
+    if (count == 0 || count > chunk_capacity)
         return TraceErrc::BadHeader;
-    if (chunk_count > remaining_records)
+    if (count > remaining_records)
         return TraceErrc::CountMismatch;
-    if (payload_bytes > chunk_count * maxRecordBytes)
+    if (payload_bytes > count * maxRecordBytes)
         return TraceErrc::BadHeader;
+    payload.resize(payload_bytes);
+    if (std::fread(payload.data(), 1, payload.size(), f) !=
+        payload.size()) {
+        return TraceErrc::TruncatedChunk;
+    }
+    if (fnv1a32(payload.data(), payload.size()) != getU32(header + 8))
+        return TraceErrc::ChecksumMismatch;
     return TraceErrc::Ok;
 }
 
@@ -295,7 +320,7 @@ TraceFileInfo::compressionVsV1() const
 
 StreamingTraceWriter::StreamingTraceWriter(const std::string &path,
                                            std::uint32_t chunk_records)
-    : path_(path), chunkRecords_(chunk_records)
+    : chunkRecords_(chunk_records)
 {
     ltc_assert(chunk_records >= 1 && chunk_records <= maxChunkRecords,
                "chunk capacity out of range: ", chunk_records);
@@ -383,36 +408,47 @@ StreamingTraceWriter::finish()
     return err_;
 }
 
+TraceErrc
+writeTraceFileV1(const std::string &path,
+                 const std::vector<MemRef> &refs)
+{
+    std::unique_ptr<std::FILE, int (*)(std::FILE *)> f(
+        std::fopen(path.c_str(), "wb"), closeFile);
+    if (!f)
+        return TraceErrc::OpenFailed;
+    std::vector<unsigned char> bytes(v1HeaderBytes +
+                                     refs.size() * v1RecordBytes);
+    std::memcpy(bytes.data(), magic, 8);
+    putU32(bytes.data() + 8, 1);
+    putU32(bytes.data() + 12, static_cast<std::uint32_t>(refs.size()));
+    unsigned char *p = bytes.data() + v1HeaderBytes;
+    for (const MemRef &ref : refs) {
+        putU64(p, ref.pc);
+        putU64(p + 8, ref.addr);
+        p[16] = ref.op == MemOp::Store ? 1 : 0;
+        p[17] = ref.dependsOnPrev ? 1 : 0;
+        putU32(p + 18, ref.nonMemGap);
+        p += v1RecordBytes;
+    }
+    return std::fwrite(bytes.data(), 1, bytes.size(), f.get()) ==
+            bytes.size()
+        ? TraceErrc::Ok
+        : TraceErrc::WriteFailed;
+}
+
 // ------------------------------------------------------------ reader
 
 StreamingTraceReader::StreamingTraceReader(const std::string &path)
-    : path_(path), file_(std::fopen(path.c_str(), "rb"), closeFile)
+    : file_(std::fopen(path.c_str(), "rb"), closeFile)
 {
     if (!file_) {
         err_ = TraceErrc::OpenFailed;
         return;
     }
-    err_ = readHeader(file_.get(), version_, records_, chunkRecords_);
-    if (err_ != TraceErrc::Ok)
-        return;
+    std::uint64_t file_bytes = 0;
+    err_ = readHeader(file_.get(), version_, records_, chunkRecords_,
+                      file_bytes);
     dataStart_ = std::ftell(file_.get());
-
-    // A corrupt v2 record count must not drive huge allocations or
-    // endless chunk loops: no encoding packs a record into fewer
-    // than 3 payload bytes, so the file size bounds the plausible
-    // count. (v1 counts are detected lazily as TruncatedChunk so a
-    // truncated body keeps its historical error.)
-    if (version_ == 2 &&
-        std::fseek(file_.get(), 0, SEEK_END) == 0) {
-        const long size = std::ftell(file_.get());
-        if (size >= 0 &&
-            records_ > static_cast<std::uint64_t>(size) / 3 + 1) {
-            err_ = TraceErrc::BadHeader;
-            return;
-        }
-        if (std::fseek(file_.get(), dataStart_, SEEK_SET) != 0)
-            err_ = TraceErrc::TruncatedHeader;
-    }
 }
 
 bool
@@ -423,117 +459,18 @@ StreamingTraceReader::fail(TraceErrc errc)
     return false;
 }
 
-bool
-StreamingTraceReader::next(MemRef &out)
-{
-    if (bufPos_ >= bufLen_ && !loadNextChunk())
-        return false;
-    out = buffer_[bufPos_++];
-    return true;
-}
-
 std::size_t
 StreamingTraceReader::fill(std::span<MemRef> out)
 {
     std::size_t n = 0;
-    while (n < out.size()) {
-        if (bufPos_ < bufLen_) {
-            const std::size_t take =
-                std::min(out.size() - n, bufLen_ - bufPos_);
-            std::copy_n(buffer_.data() + bufPos_, take,
-                        out.data() + n);
-            bufPos_ += take;
-            n += take;
-            continue;
-        }
-        if (out.size() - n >= nextChunkBound()) {
-            // The caller's remaining space holds the whole chunk:
-            // decode straight into the batch, no intermediate copy.
-            const std::size_t got = decodeChunk(out.data() + n);
-            if (got == 0)
-                break;
-            n += got;
-        } else if (!loadNextChunk()) {
-            break;
-        }
+    while (n < out.size() && (bufPos_ < bufLen_ || loadNextChunk())) {
+        const std::size_t take =
+            std::min(out.size() - n, bufLen_ - bufPos_);
+        std::copy_n(buffer_.data() + bufPos_, take, out.data() + n);
+        bufPos_ += take;
+        n += take;
     }
     return n;
-}
-
-std::size_t
-StreamingTraceReader::nextChunkBound() const
-{
-    // readChunkHeader() rejects counts above the chunk capacity or
-    // the header's remaining record count, so their minimum bounds
-    // the next chunk (and keeps a corrupt capacity field from
-    // driving a huge buffer allocation).
-    const std::uint64_t remaining =
-        records_ > consumed_ ? records_ - consumed_ : 0;
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(chunkRecords_, remaining));
-}
-
-std::size_t
-StreamingTraceReader::decodeChunk(MemRef *dst)
-{
-    if (!ok() || !file_)
-        return 0;
-    if (consumed_ >= records_)
-        return 0; // clean end of trace
-    std::size_t got = 0;
-
-    if (version_ == 1) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(records_ - consumed_,
-                                    v1BufferRecords));
-        rawBuf_.resize(want * v1RecordBytes);
-        if (std::fread(rawBuf_.data(), 1, rawBuf_.size(),
-                       file_.get()) != rawBuf_.size()) {
-            fail(TraceErrc::TruncatedChunk);
-            return 0;
-        }
-        for (std::size_t i = 0; i < want; i++)
-            dst[i] = decodeV1Record(rawBuf_.data() + i * v1RecordBytes);
-        got = want;
-    } else {
-        std::uint32_t count = 0, payload_bytes = 0, checksum = 0;
-        TraceErrc errc = readChunkHeader(
-            file_.get(), chunkRecords_, records_ - consumed_, count,
-            payload_bytes, checksum);
-        if (errc != TraceErrc::Ok) {
-            fail(errc);
-            return 0;
-        }
-        rawBuf_.resize(payload_bytes);
-        if (std::fread(rawBuf_.data(), 1, rawBuf_.size(),
-                       file_.get()) != rawBuf_.size()) {
-            fail(TraceErrc::TruncatedChunk);
-            return 0;
-        }
-        if (fnv1a32(rawBuf_.data(), rawBuf_.size()) != checksum) {
-            fail(TraceErrc::ChecksumMismatch);
-            return 0;
-        }
-        const unsigned char *p = rawBuf_.data();
-        const unsigned char *end = p + rawBuf_.size();
-        Addr prev_pc = 0, prev_addr = 0;
-        for (std::uint32_t i = 0; i < count; i++) {
-            if (!(p = decodeRecord(p, end, dst[i], prev_pc,
-                                   prev_addr))) {
-                fail(TraceErrc::MalformedRecord);
-                return 0;
-            }
-        }
-        if (p != end) {
-            fail(TraceErrc::MalformedRecord); // trailing bytes
-            return 0;
-        }
-        got = count;
-    }
-
-    consumed_ += got;
-    chunksRead_++;
-    return got;
 }
 
 bool
@@ -541,12 +478,49 @@ StreamingTraceReader::loadNextChunk()
 {
     bufPos_ = 0;
     bufLen_ = 0;
-    const std::size_t bound = nextChunkBound();
-    if (buffer_.size() < bound)
-        buffer_.resize(bound);
-    bufLen_ = decodeChunk(buffer_.data());
+    if (!ok() || consumed_ >= records_)
+        return false; // failure or clean end of trace
+    std::uint32_t count = 0;
+
+    if (version_ == 1) {
+        count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            records_ - consumed_, chunkRecords_));
+        rawBuf_.resize(count * v1RecordBytes);
+        if (std::fread(rawBuf_.data(), 1, rawBuf_.size(),
+                       file_.get()) != rawBuf_.size()) {
+            return fail(TraceErrc::TruncatedChunk);
+        }
+        if (buffer_.size() < count)
+            buffer_.resize(count);
+        for (std::size_t i = 0; i < count; i++)
+            buffer_[i] =
+                decodeV1Record(rawBuf_.data() + i * v1RecordBytes);
+    } else {
+        const TraceErrc errc = readChunk(
+            file_.get(), chunkRecords_, records_ - consumed_, count,
+            rawBuf_);
+        if (errc != TraceErrc::Ok)
+            return fail(errc);
+        if (buffer_.size() < count)
+            buffer_.resize(count);
+        const unsigned char *p = rawBuf_.data();
+        const unsigned char *end = p + rawBuf_.size();
+        Addr prev_pc = 0, prev_addr = 0;
+        for (std::uint32_t i = 0; i < count; i++) {
+            if (!(p = decodeRecord(p, end, buffer_[i], prev_pc,
+                                   prev_addr))) {
+                return fail(TraceErrc::MalformedRecord);
+            }
+        }
+        if (p != end)
+            return fail(TraceErrc::MalformedRecord); // trailing bytes
+    }
+
+    bufLen_ = count;
+    consumed_ += count;
+    chunksRead_++;
     maxBuffered_ = std::max(maxBuffered_, bufLen_);
-    return bufLen_ != 0;
+    return true;
 }
 
 void
@@ -573,24 +547,15 @@ TraceErrc
 probeTraceHeader(const std::string &path, TraceFileInfo &info)
 {
     info = TraceFileInfo{};
-    // The reader constructor parses and sanity-checks the header
-    // (including the count-vs-file-size bound) without touching any
-    // payload - exactly the O(1) probe discovery needs.
-    StreamingTraceReader reader(path);
-    if (!reader.ok())
-        return reader.error();
-    info.version = reader.version();
-    info.records = reader.records();
-    info.chunkRecords = reader.version() >= 2 ? reader.chunkCapacity()
-                                              : 0;
     std::unique_ptr<std::FILE, int (*)(std::FILE *)> f(
         std::fopen(path.c_str(), "rb"), closeFile);
-    if (f && std::fseek(f.get(), 0, SEEK_END) == 0) {
-        const long size = std::ftell(f.get());
-        if (size >= 0)
-            info.fileBytes = static_cast<std::uint64_t>(size);
-    }
-    return TraceErrc::Ok;
+    if (!f)
+        return TraceErrc::OpenFailed;
+    const TraceErrc errc = readHeader(f.get(), info.version, info.records,
+                                      info.chunkRecords, info.fileBytes);
+    if (info.version == 1)
+        info.chunkRecords = 0;
+    return errc;
 }
 
 TraceErrc
@@ -603,16 +568,12 @@ probeTraceFile(const std::string &path, TraceFileInfo &info)
         return TraceErrc::OpenFailed;
 
     TraceErrc errc = readHeader(f.get(), info.version, info.records,
-                                info.chunkRecords);
+                                info.chunkRecords, info.fileBytes);
     if (errc != TraceErrc::Ok)
         return errc;
 
     if (info.version == 1) {
         info.chunkRecords = 0;
-        if (std::fseek(f.get(), 0, SEEK_END) != 0)
-            return TraceErrc::TruncatedChunk;
-        info.fileBytes =
-            static_cast<std::uint64_t>(std::ftell(f.get()));
         if (info.fileBytes <
             v1HeaderBytes + info.records * v1RecordBytes) {
             return TraceErrc::TruncatedChunk;
@@ -623,21 +584,14 @@ probeTraceFile(const std::string &path, TraceFileInfo &info)
     std::uint64_t remaining = info.records;
     std::vector<unsigned char> payload;
     while (remaining > 0) {
-        std::uint32_t count = 0, payload_bytes = 0, checksum = 0;
-        errc = readChunkHeader(f.get(), info.chunkRecords, remaining,
-                               count, payload_bytes, checksum);
+        std::uint32_t count = 0;
+        errc = readChunk(f.get(), info.chunkRecords, remaining, count,
+                         payload);
         if (errc != TraceErrc::Ok)
             return errc;
-        payload.resize(payload_bytes);
-        if (std::fread(payload.data(), 1, payload.size(), f.get()) !=
-            payload.size()) {
-            return TraceErrc::TruncatedChunk;
-        }
-        if (fnv1a32(payload.data(), payload.size()) != checksum)
-            return TraceErrc::ChecksumMismatch;
         remaining -= count;
         info.chunks++;
-        info.payloadBytes += payload_bytes;
+        info.payloadBytes += payload.size();
     }
     info.fileBytes = v2HeaderBytes +
         info.chunks * chunkHeaderBytes + info.payloadBytes;
@@ -679,10 +633,17 @@ convertTraceFile(const std::string &in_path,
     if (!reader.ok())
         return reader.error();
     StreamingTraceWriter writer(out_path, chunk_records);
-    MemRef ref;
-    while ((limit == 0 || writer.written() < limit) && writer.ok() &&
-           reader.next(ref)) {
-        writer.append(ref);
+    std::vector<MemRef> batch(4096);
+    std::uint64_t remaining = limit ? limit : reader.records();
+    while (remaining > 0 && writer.ok()) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(remaining, batch.size()));
+        const std::size_t got = reader.fill({batch.data(), want});
+        for (std::size_t i = 0; i < got; i++)
+            writer.append(batch[i]);
+        remaining -= got;
+        if (got < want)
+            break;
     }
     if (!reader.ok())
         return reader.error();

@@ -10,11 +10,15 @@
  * each chunk carries its record count, payload size and an FNV-1a
  * checksum, so corruption is detected per chunk and both reading and
  * writing need only O(chunk) memory. See docs/TRACE_FORMAT.md for the
- * exact wire layout.
+ * exact wire layout. One routine reads and verifies a chunk (header,
+ * payload, checksum) for both StreamingTraceReader and
+ * probeTraceFile(); the reader decodes it into its own buffer and
+ * hands records out only through fill().
  *
  * The reader transparently accepts the legacy v1 format (eager
  * fixed-width records) so existing traces keep replaying; the
- * converter and the `ltc-trace` CLI (tools/ltc_trace.cc) upgrade them.
+ * converter and the `ltc-trace` CLI (tools/ltc_trace.cc) upgrade them,
+ * and writeTraceFileV1() still writes v1 for compatibility tests.
  * A ChampSim-style importer turns binary instruction traces into
  * MemRef streams so external captures become first-class workloads
  * (trace/workloads.hh discovers .ltct files via LTC_TRACE_DIR).
@@ -145,7 +149,6 @@ class StreamingTraceWriter
     void flushChunk();
     void fail(TraceErrc errc);
 
-    std::string path_;
     std::FILE *file_ = nullptr;
     std::uint32_t chunkRecords_;
     TraceErrc err_ = TraceErrc::Ok;
@@ -161,10 +164,11 @@ class StreamingTraceWriter
 /**
  * Streaming container reader for v1 and v2 files.
  *
- * Decodes one chunk at a time (v1: a fixed-size block of records), so
+ * Decodes one chunk at a time (v1: a fixed-size block of records)
+ * into its own buffer and hands records out only through fill(), so
  * replay memory is bounded by the file's chunk capacity regardless of
- * trace length. Malformed input surfaces as a typed error: next()
- * returns false and error() identifies the failure; a clean end of
+ * trace length. Malformed input surfaces as a typed error: fill()
+ * returns short and error() identifies the failure; a clean end of
  * trace leaves error() == Ok.
  */
 class StreamingTraceReader
@@ -189,19 +193,9 @@ class StreamingTraceReader
     std::uint32_t chunkCapacity() const { return chunkRecords_; }
 
     /**
-     * Produce the next record.
-     * @retval true  a record was produced.
-     * @retval false end of trace (error() == Ok) or failure.
-     */
-    bool next(MemRef &out);
-
-    /**
-     * Produce up to out.size() records into @p out (the batch form
-     * of next(); FileTrace's hot path). Drains any buffered records
-     * first; once the caller's remaining space can hold a whole
-     * chunk, chunks are decoded directly into the caller's batch,
-     * skipping the intermediate buffer entirely. A short return
-     * means end of trace (error() == Ok) or failure.
+     * Copy up to out.size() records into @p out, decoding the next
+     * chunk whenever the buffered one runs out. A short return means
+     * end of trace (error() == Ok) or failure.
      */
     std::size_t fill(std::span<MemRef> out);
 
@@ -214,18 +208,13 @@ class StreamingTraceReader
     std::uint64_t chunksRead() const { return chunksRead_; }
 
   private:
-    bool loadNextChunk();
     /**
-     * Decode the next chunk into @p dst, which must have room for
-     * nextChunkBound() records. Returns the record count (0 on clean
-     * end of trace or failure; error() disambiguates).
+     * Decode the next chunk into buffer_. False on clean end of trace
+     * or failure (error() disambiguates).
      */
-    std::size_t decodeChunk(MemRef *dst);
-    /** Upper bound on the next chunk's record count. */
-    std::size_t nextChunkBound() const;
+    bool loadNextChunk();
     bool fail(TraceErrc errc);
 
-    std::string path_;
     std::unique_ptr<std::FILE, int (*)(std::FILE *)> file_;
     TraceErrc err_ = TraceErrc::Ok;
 
@@ -238,10 +227,19 @@ class StreamingTraceReader
     std::size_t bufLen_ = 0;       //!< live records in buffer_
     std::size_t bufPos_ = 0;
     std::vector<unsigned char> rawBuf_; //!< encoded-chunk scratch
-    std::uint64_t consumed_ = 0; //!< records handed out + buffered
+    std::uint64_t consumed_ = 0; //!< records decoded since reset()
     std::size_t maxBuffered_ = 0;
     std::uint64_t chunksRead_ = 0;
 };
+
+/**
+ * Write @p refs to @p path in the legacy v1 eager format (16-byte
+ * header plus fixed 22-byte records). Kept for compatibility tests
+ * and for producing inputs to the v1 -> v2 conversion path; new
+ * traces should use StreamingTraceWriter.
+ */
+TraceErrc writeTraceFileV1(const std::string &path,
+                           const std::vector<MemRef> &refs);
 
 /**
  * Capture up to @p refs records of @p source (from its start; the

@@ -72,6 +72,20 @@ readAll(const std::string &path, TraceErrc &err)
     return readTraceFile(path, &err);
 }
 
+/** The records @p reader has left, read @p batch at a time. */
+std::vector<MemRef>
+drain(StreamingTraceReader &reader, std::size_t batch)
+{
+    std::vector<MemRef> refs;
+    std::vector<MemRef> buf(batch);
+    std::size_t got;
+    do {
+        got = reader.fill(buf);
+        refs.insert(refs.end(), buf.begin(), buf.begin() + got);
+    } while (got == batch);
+    return refs;
+}
+
 std::vector<unsigned char>
 slurp(const std::string &path)
 {
@@ -123,10 +137,7 @@ TEST(TraceIoPropertyTest, RoundTripsBitExactAcrossChunkBoundaries)
         ASSERT_TRUE(reader.ok()) << traceErrcName(reader.error());
         EXPECT_EQ(reader.version(), 2u);
         EXPECT_EQ(reader.records(), n);
-        std::vector<MemRef> back;
-        MemRef out;
-        while (reader.next(out))
-            back.push_back(out);
+        const std::vector<MemRef> back = drain(reader, 1);
         ASSERT_TRUE(reader.ok()) << traceErrcName(reader.error());
         ASSERT_EQ(back.size(), refs.size()) << "n=" << n;
         for (std::size_t i = 0; i < refs.size(); i++)
@@ -134,14 +145,13 @@ TEST(TraceIoPropertyTest, RoundTripsBitExactAcrossChunkBoundaries)
                 << "n=" << n << " record " << i;
         EXPECT_LE(reader.maxBufferedRecords(), chunk);
 
-        // reset() replays the identical stream.
+        // reset() replays the identical stream, here in batches that
+        // straddle chunk boundaries.
         reader.reset();
-        std::size_t replayed = 0;
-        while (reader.next(out)) {
-            ASSERT_TRUE(out == refs[replayed]) << "replay " << replayed;
-            replayed++;
-        }
-        EXPECT_EQ(replayed, n);
+        const std::vector<MemRef> replayed = drain(reader, 7);
+        ASSERT_EQ(replayed.size(), n);
+        for (std::size_t i = 0; i < n; i++)
+            ASSERT_TRUE(replayed[i] == refs[i]) << "replay " << i;
         std::remove(path.c_str());
     }
 }
@@ -188,10 +198,7 @@ TEST(TraceIoTest, ReaderAcceptsLegacyV1)
     ASSERT_TRUE(reader.ok());
     EXPECT_EQ(reader.version(), 1u);
     EXPECT_EQ(reader.records(), refs.size());
-    std::vector<MemRef> back;
-    MemRef out;
-    while (reader.next(out))
-        back.push_back(out);
+    const std::vector<MemRef> back = drain(reader, 1);
     ASSERT_TRUE(reader.ok());
     ASSERT_EQ(back.size(), refs.size());
     for (std::size_t i = 0; i < refs.size(); i++)
@@ -535,7 +542,7 @@ TEST(TraceIoTest, EmptyTraceIsValid)
     ASSERT_TRUE(reader.ok());
     EXPECT_EQ(reader.records(), 0u);
     MemRef out;
-    EXPECT_FALSE(reader.next(out));
+    EXPECT_EQ(reader.fill({&out, 1}), 0u);
     EXPECT_TRUE(reader.ok());
 
     TraceFileInfo info;

@@ -22,6 +22,7 @@
  * All failures exit with status 1 and a message on stderr.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -235,11 +236,18 @@ cmdHead(const Options &opt)
     StreamingTraceReader reader(opt.positional[0]);
     if (!reader.ok())
         die(opt.positional[0], reader.error());
-    MemRef ref;
-    for (std::uint64_t i = 0; i < count && reader.next(ref); i++)
-        std::printf("%8llu  %s\n",
-                    static_cast<unsigned long long>(i),
-                    to_string(ref).c_str());
+    std::vector<MemRef> batch(4096);
+    for (std::uint64_t i = 0; i < count;) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(count - i, batch.size()));
+        const std::size_t got = reader.fill({batch.data(), want});
+        for (std::size_t k = 0; k < got; k++, i++)
+            std::printf("%8llu  %s\n",
+                        static_cast<unsigned long long>(i),
+                        to_string(batch[k]).c_str());
+        if (got < want)
+            break;
+    }
     if (!reader.ok())
         die(opt.positional[0], reader.error());
     return 0;
