@@ -352,44 +352,44 @@ HashProbeSource::reset()
 
 InterleaveSource::InterleaveSource(
     std::vector<std::unique_ptr<TraceSource>> children,
-    std::vector<std::uint32_t> chunks, std::string name)
-    : children_(std::move(children)), chunks_(std::move(chunks)),
+    std::vector<std::uint64_t> quotas, std::string name)
+    : children_(std::move(children)), quotas_(std::move(quotas)),
       name_(std::move(name))
 {
     ltc_assert(!children_.empty(), "InterleaveSource with no children");
-    ltc_assert(children_.size() == chunks_.size(),
-               "InterleaveSource children/chunks size mismatch");
-    for (auto c : chunks_)
-        ltc_assert(c > 0, "InterleaveSource zero chunk length");
+    ltc_assert(children_.size() == quotas_.size(),
+               "InterleaveSource children/quotas size mismatch");
+    for (auto q : quotas_)
+        ltc_assert(q > 0, "InterleaveSource zero quota");
 }
 
 std::size_t
 InterleaveSource::fill(std::span<MemRef> out)
 {
-    // Delegate whole chunk remainders to each child's fill(), so the
-    // per-record virtual hop is paid once per chunk, not per record.
+    // Delegate whole quota remainders to each child's fill(), so the
+    // per-record virtual hop is paid once per quota, not per record.
     // A child that ends is skipped; the stream ends once every child
     // fails to produce in consecutive attempts.
     std::size_t n = 0;
     std::size_t failed = 0;
     while (n < out.size() && failed < children_.size()) {
-        const std::size_t want =
-            std::min<std::size_t>(out.size() - n,
-                                  chunks_[childIdx_] - inChunk_);
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(out.size() - n,
+                                    quotas_[childIdx_] - inQuota_));
         const std::size_t got =
             children_[childIdx_]->fill(out.subspan(n, want));
         n += got;
-        inChunk_ += static_cast<std::uint32_t>(got);
+        inQuota_ += got;
         if (got < want) {
             // This child ended; the attempt that discovered it counts
             // toward the all-children-exhausted condition.
             failed = got ? 1 : failed + 1;
-            inChunk_ = 0;
+            inQuota_ = 0;
             childIdx_ = (childIdx_ + 1) % children_.size();
         } else {
             failed = 0;
-            if (inChunk_ >= chunks_[childIdx_]) {
-                inChunk_ = 0;
+            if (inQuota_ >= quotas_[childIdx_]) {
+                inQuota_ = 0;
                 childIdx_ = (childIdx_ + 1) % children_.size();
             }
         }
@@ -403,60 +403,7 @@ InterleaveSource::reset()
     for (auto &c : children_)
         c->reset();
     childIdx_ = 0;
-    inChunk_ = 0;
-}
-
-//
-// PhaseSequenceSource
-//
-
-PhaseSequenceSource::PhaseSequenceSource(
-    std::vector<std::unique_ptr<TraceSource>> children,
-    std::vector<std::uint64_t> lengths, std::string name)
-    : children_(std::move(children)), lengths_(std::move(lengths)),
-      name_(std::move(name))
-{
-    ltc_assert(!children_.empty(), "PhaseSequenceSource with no children");
-    ltc_assert(children_.size() == lengths_.size(),
-               "PhaseSequenceSource children/lengths size mismatch");
-    for (auto l : lengths_)
-        ltc_assert(l > 0, "PhaseSequenceSource zero phase length");
-}
-
-std::size_t
-PhaseSequenceSource::fill(std::span<MemRef> out)
-{
-    std::size_t n = 0;
-    std::size_t failed = 0;
-    while (n < out.size() && failed < children_.size()) {
-        if (inPhase_ >= lengths_[childIdx_]) {
-            inPhase_ = 0;
-            childIdx_ = (childIdx_ + 1) % children_.size();
-        }
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(out.size() - n,
-                                    lengths_[childIdx_] - inPhase_));
-        const std::size_t got =
-            children_[childIdx_]->fill(out.subspan(n, want));
-        n += got;
-        inPhase_ += got;
-        if (got < want) {
-            failed = got ? 1 : failed + 1;
-            inPhase_ = lengths_[childIdx_]; // child exhausted: move on
-        } else {
-            failed = 0;
-        }
-    }
-    return n;
-}
-
-void
-PhaseSequenceSource::reset()
-{
-    for (auto &c : children_)
-        c->reset();
-    childIdx_ = 0;
-    inPhase_ = 0;
+    inQuota_ = 0;
 }
 
 } // namespace ltc

@@ -19,8 +19,8 @@
  *    bh-like) layout.
  *  - HashProbeSource: uniformly random probing with an optional hot
  *    subset; produces the uncorrelated streams of gzip/bzip2/twolf.
- *  - InterleaveSource / PhaseSequenceSource: deterministic composition
- *    into multi-structure and multi-phase programs.
+ *  - InterleaveSource: deterministic round-robin composition into
+ *    multi-structure and multi-phase programs.
  *
  * All primitives are deterministic: reset() replays the identical
  * stream (mutating sources replay the identical mutation schedule).
@@ -246,17 +246,19 @@ class HashProbeSource final : public TraceSource
 };
 
 /**
- * Deterministic chunked interleave of several children: emits
- * chunk[i] records from child i, then moves to child i+1, round-robin
- * forever. Models independent structures whose access sequences
- * interleave — the case where per-stream delta correlation fails but
- * address correlation still works (Section 2).
+ * Deterministic round-robin over several children: emits quota[i]
+ * records from child i, then moves to child i+1, forever. Short
+ * quotas model independent structures whose access sequences
+ * interleave, the case where per-stream delta correlation fails but
+ * address correlation still works (Section 2); long quotas model
+ * program phases (compute phase, update phase, ...). A child that
+ * ends is skipped, and the stream ends once every child has.
  */
 class InterleaveSource final : public TraceSource
 {
   public:
     InterleaveSource(std::vector<std::unique_ptr<TraceSource>> children,
-                     std::vector<std::uint32_t> chunks,
+                     std::vector<std::uint64_t> quotas,
                      std::string name = "interleave");
 
     std::size_t fill(std::span<MemRef> out) override;
@@ -265,34 +267,10 @@ class InterleaveSource final : public TraceSource
 
   private:
     std::vector<std::unique_ptr<TraceSource>> children_;
-    std::vector<std::uint32_t> chunks_;
+    std::vector<std::uint64_t> quotas_;
     std::string name_;
     std::size_t childIdx_ = 0;
-    std::uint32_t inChunk_ = 0;
-};
-
-/**
- * Sequential phases: child i runs for length[i] records, then the
- * next child, cycling forever. Models program phase behaviour
- * (compute phase, update phase, ...).
- */
-class PhaseSequenceSource final : public TraceSource
-{
-  public:
-    PhaseSequenceSource(std::vector<std::unique_ptr<TraceSource>> children,
-                        std::vector<std::uint64_t> lengths,
-                        std::string name = "phases");
-
-    std::size_t fill(std::span<MemRef> out) override;
-    void reset() override;
-    std::string name() const override { return name_; }
-
-  private:
-    std::vector<std::unique_ptr<TraceSource>> children_;
-    std::vector<std::uint64_t> lengths_;
-    std::string name_;
-    std::size_t childIdx_ = 0;
-    std::uint64_t inPhase_ = 0;
+    std::uint64_t inQuota_ = 0;
 };
 
 } // namespace ltc

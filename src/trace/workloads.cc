@@ -106,20 +106,16 @@ hash(unsigned reg, std::uint64_t blocks, double hot_frac,
     return std::make_unique<HashProbeSource>(p, name);
 }
 
+/**
+ * Round-robin over @p children, quotas[i] records of child i at a
+ * time: short quotas interleave structures, long ones are phases.
+ */
 SourcePtr
-mix(std::vector<SourcePtr> children, std::vector<std::uint32_t> chunks,
+mix(std::vector<SourcePtr> children, std::vector<std::uint64_t> quotas,
     const std::string &name)
 {
     return std::make_unique<InterleaveSource>(std::move(children),
-                                              std::move(chunks), name);
-}
-
-SourcePtr
-phases(std::vector<SourcePtr> children, std::vector<std::uint64_t> lens,
-       const std::string &name)
-{
-    return std::make_unique<PhaseSequenceSource>(std::move(children),
-                                                 std::move(lens), name);
+                                              std::move(quotas), name);
 }
 
 /** Recipe: build function + iteration length estimator. */
@@ -182,7 +178,7 @@ buildApsi(std::uint64_t seed, double s)
     kids.push_back(scans({arr(1, sc(16 << 10, s), 16, 0x1200,
                               sc(16 << 10, s) * defaultBlockSize)},
                          4, "apsi.fresh"));
-    return phases(std::move(kids), {128 << 10, 256 << 10}, "apsi");
+    return mix(std::move(kids), {128 << 10, 256 << 10}, "apsi");
 }
 
 SourcePtr
@@ -367,7 +363,7 @@ buildMesa(std::uint64_t seed, double s)
     kids.push_back(scans({arr(0, 640, 8, 0x1000)}, 8, "mesa.hot"));
     kids.push_back(
         scans({arr(1, sc(8 << 10, s), 8, 0x1100)}, 8, "mesa.tex"));
-    return phases(std::move(kids), {256 << 10, 64 << 10}, "mesa");
+    return mix(std::move(kids), {256 << 10, 64 << 10}, "mesa");
 }
 
 SourcePtr

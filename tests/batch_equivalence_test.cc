@@ -148,7 +148,7 @@ makeInterleave()
         std::vector<ScanArray>{a}, 1));
     kids.push_back(std::make_unique<VectorTrace>(sampleRefs(321)));
     return std::make_unique<InterleaveSource>(
-        std::move(kids), std::vector<std::uint32_t>{5, 3, 2});
+        std::move(kids), std::vector<std::uint64_t>{5, 3, 2});
 }
 
 std::unique_ptr<TraceSource>
@@ -161,7 +161,7 @@ makePhases()
     a.blocks = 64;
     kids.push_back(std::make_unique<StridedScanSource>(
         std::vector<ScanArray>{a}, 2));
-    return std::make_unique<PhaseSequenceSource>(
+    return std::make_unique<InterleaveSource>(
         std::move(kids), std::vector<std::uint64_t>{700, 450});
 }
 

@@ -117,7 +117,7 @@ buildInterleave()
     kids.push_back(std::move(scan));
     kids.push_back(std::move(chase));
     return std::make_unique<InterleaveSource>(
-        std::move(kids), std::vector<std::uint32_t>{6, 1},
+        std::move(kids), std::vector<std::uint64_t>{6, 1},
         "golden.mix");
 }
 

@@ -400,7 +400,7 @@ TEST(HashProbeTest, StoreFraction)
 }
 
 //
-// InterleaveSource / PhaseSequenceSource
+// InterleaveSource
 //
 
 std::unique_ptr<TraceSource>
@@ -436,32 +436,16 @@ TEST(InterleaveTest, SkipsExhaustedChildren)
     EXPECT_EQ(refs.back().addr, 0xB000u);
 }
 
-TEST(PhaseSequenceTest, PhasesAlternate)
+TEST(InterleaveTest, ChildrenKeepStateAcrossQuotas)
 {
-    std::vector<std::unique_ptr<TraceSource>> kids;
-    kids.push_back(constSource(0xA000, 100));
-    kids.push_back(constSource(0xB000, 100));
-    PhaseSequenceSource src(std::move(kids), {4, 2});
-    auto refs = take(src, 12);
-    int a_count = 0;
-    for (std::size_t i = 0; i < 4; i++)
-        a_count += refs[i].addr == 0xA000;
-    EXPECT_EQ(a_count, 4);
-    EXPECT_EQ(refs[4].addr, 0xB000u);
-    EXPECT_EQ(refs[5].addr, 0xB000u);
-    EXPECT_EQ(refs[6].addr, 0xA000u); // cycles back
-}
-
-TEST(PhaseSequenceTest, ChildrenKeepStateAcrossPhases)
-{
-    // A child resumes where it left off when its phase comes again.
+    // A child resumes where it left off when its turn comes again.
     std::vector<MemRef> seq(8);
     for (std::size_t i = 0; i < 8; i++)
         seq[i].addr = 0x1000 + i;
     std::vector<std::unique_ptr<TraceSource>> kids;
     kids.push_back(std::make_unique<VectorTrace>(seq));
     kids.push_back(constSource(0xB000, 100));
-    PhaseSequenceSource src(std::move(kids), {2, 1});
+    InterleaveSource src(std::move(kids), {2, 1});
     auto refs = take(src, 6);
     EXPECT_EQ(refs[0].addr, 0x1000u);
     EXPECT_EQ(refs[1].addr, 0x1001u);

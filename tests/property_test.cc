@@ -48,7 +48,7 @@ fuzzWorkload(std::uint64_t seed)
 {
     Rng rng(seed);
     std::vector<std::unique_ptr<TraceSource>> kids;
-    std::vector<std::uint32_t> chunks;
+    std::vector<std::uint64_t> chunks;
     const int n = static_cast<int>(rng.range(1, 3));
     for (int i = 0; i < n; i++) {
         const Addr base = 0x10000000 + static_cast<Addr>(i) * 0x4000000;
@@ -96,7 +96,7 @@ fuzzWorkload(std::uint64_t seed)
             break;
           }
         }
-        chunks.push_back(static_cast<std::uint32_t>(rng.range(1, 8)));
+        chunks.push_back(rng.range(1, 8));
     }
     if (kids.size() == 1)
         return std::move(kids[0]);

@@ -226,7 +226,7 @@ buildInterleaveChildrenEnd()
     kids.push_back(endlessTree());
     kids.push_back(limitedScan(0x3000000, 7'777));
     return std::make_unique<InterleaveSource>(
-        std::move(kids), std::vector<std::uint32_t>{5, 3, 300},
+        std::move(kids), std::vector<std::uint64_t>{5, 3, 300},
         "interleave.children_end");
 }
 
@@ -238,7 +238,7 @@ buildInterleaveAllEnd()
     kids.push_back(limitedScan(0x4000000, 30'000));
     kids.push_back(limitedHash(12'345));
     return std::make_unique<InterleaveSource>(
-        std::move(kids), std::vector<std::uint32_t>{64, 100},
+        std::move(kids), std::vector<std::uint64_t>{64, 100},
         "interleave.all_end");
 }
 
@@ -250,7 +250,7 @@ buildPhasesChildrenEnd()
     kids.push_back(limitedHash(2'500));
     kids.push_back(endlessTree());
     kids.push_back(limitedChase(9'000));
-    return std::make_unique<PhaseSequenceSource>(
+    return std::make_unique<InterleaveSource>(
         std::move(kids), std::vector<std::uint64_t>{700, 450, 1'000},
         "phases.children_end");
 }
@@ -262,7 +262,7 @@ buildPhasesAllEnd()
     std::vector<SourcePtr> kids;
     kids.push_back(limitedScan(0x5000000, 20'000));
     kids.push_back(limitedChase(33'333));
-    return std::make_unique<PhaseSequenceSource>(
+    return std::make_unique<InterleaveSource>(
         std::move(kids), std::vector<std::uint64_t>{4'096, 777},
         "phases.all_end");
 }
