@@ -221,17 +221,18 @@ class Cache
     /**
      * Mark @p addr's line as predicted dead. Only meaningful under
      * ReplPolicy::DeadBlock, whose victim selection prefers marked
-     * ways (the engines feed it the predictor's last-touch victim
-     * predictions); a later demand touch clears the mark. No-op when
-     * the block is not resident; returns whether it was.
+     * ways (CacheHierarchy::markDead feeds it the predictor's
+     * last-touch victim predictions); a later demand touch clears the
+     * mark. No-op when the block is not resident; returns whether it
+     * was.
      */
     bool markDead(Addr addr);
 
     /**
      * Whether @p addr is resident and still carries a dead mark (a
-     * demand touch since markDead clears it). The engines use this
-     * to gate directed prefetch replacement under DeadBlock: a
-     * revived block is spared and the policy picks the victim.
+     * demand touch since markDead clears it). CacheHierarchy::prefetch
+     * uses this to gate directed prefetch replacement under DeadBlock:
+     * a revived block is spared and the policy picks the victim.
      */
     bool isDead(Addr addr) const;
 

@@ -36,6 +36,15 @@ CacheHierarchy::prefetch(Addr addr, Addr predicted_victim)
         out.alreadyInL1 = true;
         return out;
     }
+    // Under DeadBlock the directed replacement is gated on the dead
+    // mark surviving until the install: a demand touch in between
+    // revived the block (the prediction was wrong), so spare it and
+    // let the policy pick the victim (which itself prefers other
+    // marked-dead ways).
+    if (config_.l1d.policy == ReplPolicy::DeadBlock &&
+        !l1d_.isDead(predicted_victim)) {
+        predicted_victim = invalidAddr;
+    }
 
     // Data passes through (and installs into) L2 on its way in; a
     // resident L2 copy makes the prefetch an on-chip transfer. The

@@ -228,11 +228,32 @@ class CacheHierarchy
     }
 
     /**
+     * Feed a last-touch prediction to dead-block-aware replacement:
+     * mark @p addr's line predicted dead (Cache::markDead) in each
+     * level whose policy is ReplPolicy::DeadBlock. A last touch is
+     * program-wide, so the L2 copy is just as dead as the L1 one.
+     * No-op for invalidAddr (no prediction) and for other policies.
+     */
+    void
+    markDead(Addr addr)
+    {
+        if (addr == invalidAddr)
+            return;
+        if (config_.l1d.policy == ReplPolicy::DeadBlock)
+            l1d_.markDead(addr);
+        if (config_.l2.policy == ReplPolicy::DeadBlock)
+            l2_.markDead(addr);
+    }
+
+    /**
      * Prefetch @p addr into L1D replacing @p predicted_victim, and
      * install into L2 on the way. The block's classification entry
      * moves to the L1 line (off chip unless L2 held the block). A
      * block already in L1D, which under perfectL1 is every block, is
-     * reported as alreadyInL1 and neither level changes.
+     * reported as alreadyInL1 and neither level changes. Under an L1D
+     * DeadBlock policy the predicted victim is replaced only while it
+     * still carries its markDead() mark: a demand touch since then
+     * revived it, so the policy picks the victim instead.
      */
     PrefetchOutcome prefetch(Addr addr, Addr predicted_victim);
 

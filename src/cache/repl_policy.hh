@@ -426,7 +426,7 @@ struct PolicySHiP
 /**
  * Dead-block-aware replacement: LRU whose victim choice prefers
  * blocks an external oracle marked dead (Cache::markDead — the
- * engines feed it LT-cords' last-touch victim predictions, so the
+ * hierarchy feeds it LT-cords' last-touch victim predictions, so the
  * paper's mechanism drives replacement, not just prefetch). A demand
  * touch clears the mark: the prediction was wrong, the block lives.
  */

@@ -122,17 +122,10 @@ void
 TimingSim::enqueuePrefetch(const PrefetchRequest &req, Cycle now)
 {
     // Dead-block-aware replacement consumes the predictor's last-touch
-    // prediction at enqueue time, the moment the prediction is made.
-    if (req.predictedVictim != invalidAddr) {
-        if (config_.hier.l1d.policy == ReplPolicy::DeadBlock)
-            hier_.l1d().markDead(req.predictedVictim);
-        // A last touch is program-wide: the L2 copy of the victim is
-        // just as dead. The L2 mark is the one with real leverage —
-        // L2 recency only updates on L1 misses, so its LRU order
-        // diverges from death order far more than the L1's.
-        if (config_.hier.l2.policy == ReplPolicy::DeadBlock)
-            hier_.l2().markDead(req.predictedVictim);
-    }
+    // prediction at enqueue time, the moment the prediction is made;
+    // the install at issue spares a victim revived in between
+    // (CacheHierarchy::prefetch).
+    hier_.markDead(req.predictedVictim);
     if (redundant(req, now))
         return;
 
@@ -180,20 +173,10 @@ TimingSim::issuePrefetch(const PrefetchRequest &req, Cycle now)
 {
     const Addr block = hier_.l1d().blockAlign(req.target);
     PrefetchOutcome out;
-    if (req.intoL1) {
-        // Under DeadBlock the directed replacement is gated on the
-        // dead mark surviving the enqueue->issue window: a demand
-        // touch in between revived the block (the prediction was
-        // wrong), so spare it and let the policy pick the victim
-        // (which itself prefers other marked-dead ways).
-        Addr directed = req.predictedVictim;
-        if (config_.hier.l1d.policy == ReplPolicy::DeadBlock &&
-            directed != invalidAddr && !hier_.l1d().isDead(directed))
-            directed = invalidAddr;
-        out = hier_.prefetch(req.target, directed);
-    } else {
+    if (req.intoL1)
+        out = hier_.prefetch(req.target, req.predictedVictim);
+    else
         out = hier_.prefetchL2(block);
-    }
     // The drain filter issues no request whose block is already at its
     // target level, except under a perfect L1, which holds every block:
     // then nothing moves.

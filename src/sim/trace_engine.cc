@@ -91,24 +91,17 @@ TraceEngine::issuePrefetch(const PrefetchRequest &req)
 {
     const Addr block = hier_.l1d().blockAlign(req.target);
 
-    // Under the dead-block-aware policy the prediction also feeds
-    // replacement: mark the predicted victim dead so LRU prefers it.
-    // In this engine mark and fill are atomic — predictions drain every
-    // reference and LT-cords' (victim, replacement) pairs are
-    // same-set by construction — so the directed fill consumes the
-    // L1 mark immediately and L1 DeadBlock degenerates to LRU; the
-    // timing engine's enqueue->issue delay is where the L1 marks
-    // earn their keep (see TimingSim::issuePrefetch). The L2 mark
-    // below persists in both engines: a last touch is program-wide,
-    // so the victim's L2 copy is just as dead, and L2 recency (only
-    // updated on L1 misses) tracks death order poorly enough that
-    // the mark genuinely reorders L2 evictions.
-    if (req.predictedVictim != invalidAddr) {
-        if (hierConfig_.l1d.policy == ReplPolicy::DeadBlock)
-            hier_.l1d().markDead(req.predictedVictim);
-        if (hierConfig_.l2.policy == ReplPolicy::DeadBlock)
-            hier_.l2().markDead(req.predictedVictim);
-    }
+    // The prediction also feeds dead-block-aware replacement
+    // (CacheHierarchy::markDead). In this engine mark and fill are
+    // atomic — predictions drain every reference and LT-cords'
+    // (victim, replacement) pairs are same-set by construction — so
+    // the directed fill consumes the L1 mark immediately and L1
+    // DeadBlock degenerates to LRU; the timing engine's
+    // enqueue->issue delay is where the L1 marks earn their keep. The
+    // L2 mark persists in both engines: L2 recency (only updated on
+    // L1 misses) tracks death order poorly enough that the mark
+    // genuinely reorders L2 evictions.
+    hier_.markDead(req.predictedVictim);
 
     if (req.intoL1) {
         const PrefetchOutcome out =
