@@ -91,7 +91,7 @@ cacheAccess()
 
 /**
  * One 8-way set of packed tag words, scanned with the dispatched
- * kernel (AVX2/AVX-512 when compiled in) vs. the portable unrolled
+ * kernel (AVX2 when compiled in) vs. the portable unrolled
  * loop — the per-lookup work behind every cache access. With
  * -DLTC_SIMD=OFF (or no AVX2) the two cells coincide.
  */

@@ -36,11 +36,12 @@ namespace ltc
 /**
  * The engines' static-associativity dispatch table, in one place:
  * invoke @p f with two std::integral_constant associativities — a
- * way-scan-unrolled instantiation for the (L1, L2) geometries the
- * experiments actually sweep, or (0, 0) (read the configuration at
- * runtime) for anything else. Both engines route their batched
- * kernels through this, so adding a geometry here extends every
- * kernel at once.
+ * way-scan-unrolled instantiation for the (2, 8) geometry of Table 1,
+ * which every preset, bench and benchmark cell uses (the 4 MB L2
+ * included), or (0, 0) (read the configuration at runtime) for
+ * anything else. Both engines route their batched kernels through
+ * this, so adding a geometry here extends every kernel at once; each
+ * one adds a full set of kernel instantiations to both engines.
  */
 template <typename F>
 auto
@@ -51,16 +52,6 @@ dispatchByAssociativity(std::uint32_t l1_assoc, std::uint32_t l2_assoc,
     if (l1_assoc == 2 && l2_assoc == 8) {
         return std::forward<F>(f)(
             integral_constant<std::uint32_t, 2>{},
-            integral_constant<std::uint32_t, 8>{});
-    }
-    if (l1_assoc == 2 && l2_assoc == 16) {
-        return std::forward<F>(f)(
-            integral_constant<std::uint32_t, 2>{},
-            integral_constant<std::uint32_t, 16>{});
-    }
-    if (l1_assoc == 4 && l2_assoc == 8) {
-        return std::forward<F>(f)(
-            integral_constant<std::uint32_t, 4>{},
             integral_constant<std::uint32_t, 8>{});
     }
     return std::forward<F>(f)(integral_constant<std::uint32_t, 0>{},

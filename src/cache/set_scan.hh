@@ -7,16 +7,17 @@
  * The per-reference lookup and victim scans reduce to one primitive:
  * "which ways w satisfy (words[w] & select) == want" as a bitmask.
  * With AVX2 that is a broadcast, a vector AND, a vector compare and a
- * movemask per 4 ways; with AVX-512, a single masked compare per 8
- * ways. The first matching way is then a trailing-zero count.
+ * movemask per 4 ways. The first matching way is then a trailing-zero
+ * count.
  *
- * Both a portable kernel and (when the compiler targets the ISA) the
- * SIMD kernels are always compiled: the dispatching wrapper
- * `maskedEqBits` picks the widest available at compile time, the
- * portable variant stays callable for the `micro_structures`
- * SIMD-vs-portable benchmark, and `-DLTC_SIMD=OFF` (which defines
- * LTC_FORCE_PORTABLE_SCAN) forces the portable kernel everywhere so
- * CI can pin that both produce byte-identical simulations.
+ * Two kernels exist: a portable one, always compiled, and the AVX2
+ * one, compiled when the build targets AVX2 (CMake adds -mavx2 unless
+ * LTC_SIMD=OFF). The dispatching wrapper `maskedEqBits` picks AVX2
+ * when it is compiled in, the portable variant stays callable for the
+ * `micro_structures` SIMD-vs-portable benchmark, and `-DLTC_SIMD=OFF`
+ * (which defines LTC_FORCE_PORTABLE_SCAN) forces the portable kernel
+ * everywhere so CI can pin that both produce byte-identical
+ * simulations.
  *
  * Equivalence argument (pinned by tests/cache_test.cc): a set holds
  * each block at most once, so the match mask has at most one bit and
@@ -36,13 +37,6 @@
 #define LTC_SET_SCAN_AVX2 0
 #endif
 
-#if defined(__AVX512F__) && !defined(LTC_FORCE_PORTABLE_SCAN)
-#define LTC_SET_SCAN_AVX512 1
-#include <immintrin.h>
-#else
-#define LTC_SET_SCAN_AVX512 0
-#endif
-
 namespace ltc
 {
 
@@ -50,8 +44,7 @@ namespace ltc
 // operator and virtual declarations between these markers.
 
 /** True when maskedEqBits resolves to a SIMD kernel for 8-way sets. */
-inline constexpr bool simdSetScan = LTC_SET_SCAN_AVX2 != 0 ||
-    LTC_SET_SCAN_AVX512 != 0;
+inline constexpr bool simdSetScan = LTC_SET_SCAN_AVX2 != 0;
 
 /**
  * Portable kernel: bit w of the result is set iff
@@ -70,31 +63,7 @@ maskedEqBitsPortable(const std::uint64_t *words, std::uint64_t select,
     return bits;
 }
 
-#if LTC_SET_SCAN_AVX512
-
-/** AVX-512 kernel: one masked 8-lane compare per 8 ways. */
-template <std::uint32_t Assoc>
-inline std::uint32_t
-maskedEqBitsSimd(const std::uint64_t *words, std::uint64_t select,
-                 std::uint64_t want)
-{
-    static_assert(Assoc >= 8 && Assoc <= 32 && (Assoc & 7u) == 0,
-                  "AVX-512 scan handles 8/16/24/32-way sets");
-    const __m512i sel = _mm512_set1_epi64(
-        static_cast<long long>(select));
-    const __m512i wt = _mm512_set1_epi64(static_cast<long long>(want));
-    std::uint32_t bits = 0;
-    for (std::uint32_t g = 0; g < Assoc / 8; g++) {
-        const __m512i v = _mm512_loadu_si512(
-            reinterpret_cast<const void *>(words + 8 * g));
-        const __mmask8 eq =
-            _mm512_cmpeq_epi64_mask(_mm512_and_epi64(v, sel), wt);
-        bits |= static_cast<std::uint32_t>(eq) << (8 * g);
-    }
-    return bits;
-}
-
-#elif LTC_SET_SCAN_AVX2
+#if LTC_SET_SCAN_AVX2
 
 /** AVX2 kernel: AND + compare + movemask per 4 ways. */
 template <std::uint32_t Assoc>
@@ -119,25 +88,20 @@ maskedEqBitsSimd(const std::uint64_t *words, std::uint64_t select,
     return bits;
 }
 
-#endif // LTC_SET_SCAN_AVX2 / LTC_SET_SCAN_AVX512
+#endif // LTC_SET_SCAN_AVX2
 
 /**
- * Widest-available kernel for the engines' static-associativity
- * instantiations: SIMD when compiled in and the width divides the
- * vector lanes, otherwise the portable unrolled scan. Semantically
- * identical either way (see the file comment).
+ * Kernel for the engines' static-associativity instantiations: AVX2
+ * when compiled in and the width is a multiple of its 4 lanes,
+ * otherwise the portable unrolled scan. Semantically identical either
+ * way (see the file comment).
  */
 template <std::uint32_t Assoc>
 inline std::uint32_t
 maskedEqBits(const std::uint64_t *words, std::uint64_t select,
              std::uint64_t want)
 {
-#if LTC_SET_SCAN_AVX512
-    if constexpr (Assoc >= 8 && Assoc <= 32 && (Assoc & 7u) == 0)
-        return maskedEqBitsSimd<Assoc>(words, select, want);
-    else
-        return maskedEqBitsPortable<Assoc>(words, select, want);
-#elif LTC_SET_SCAN_AVX2
+#if LTC_SET_SCAN_AVX2
     if constexpr (Assoc >= 4 && Assoc <= 32 && (Assoc & 3u) == 0)
         return maskedEqBitsSimd<Assoc>(words, select, want);
     else
