@@ -472,59 +472,6 @@ parseRecordArray(JsonCursor &cur)
     return records;
 }
 
-/**
- * Split CSV text into records of fields, honouring RFC-4180
- * quoting — including record separators inside quoted fields, so
- * any resultsToCsv() output parses back.
- */
-std::vector<std::vector<std::string>>
-splitCsv(const std::string &text)
-{
-    std::vector<std::vector<std::string>> rows;
-    std::vector<std::string> fields;
-    std::string field;
-    bool quoted = false;
-    bool rowStarted = false;
-    auto endRow = [&] {
-        if (!rowStarted)
-            return;
-        fields.push_back(std::move(field));
-        field.clear();
-        rows.push_back(std::move(fields));
-        fields.clear();
-        rowStarted = false;
-    };
-    for (std::size_t i = 0; i < text.size(); i++) {
-        const char ch = text[i];
-        if (quoted) {
-            if (ch == '"') {
-                if (i + 1 < text.size() && text[i + 1] == '"') {
-                    field += '"';
-                    i++;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                field += ch;
-            }
-        } else if (ch == '"') {
-            quoted = true;
-            rowStarted = true;
-        } else if (ch == ',') {
-            fields.push_back(std::move(field));
-            field.clear();
-            rowStarted = true;
-        } else if (ch == '\n') {
-            endRow();
-        } else if (ch != '\r') {
-            field += ch;
-            rowStarted = true;
-        }
-    }
-    endRow();
-    return rows;
-}
-
 } // namespace
 
 std::string
@@ -605,58 +552,6 @@ resultsFromJson(const std::string &text)
     cur.expect('}');
     if (!found)
         ltc_fatal("JSON document has no \"records\" array");
-    return records;
-}
-
-std::vector<RunResult>
-resultsFromCsv(const std::string &text)
-{
-    std::vector<RunResult> records;
-    std::vector<std::string> keys;
-    bool header = true;
-    for (auto &fields : splitCsv(text)) {
-        if (header) {
-            if (fields.size() < 4 || fields[0] != "cell")
-                ltc_fatal("CSV parse error: bad header row of ",
-                          fields.size(), " fields");
-            keys.assign(fields.begin() + 4, fields.end());
-            header = false;
-            continue;
-        }
-        if (fields.size() != keys.size() + 4)
-            ltc_fatal("CSV parse error: row width ", fields.size(),
-                      " != header width ", keys.size() + 4);
-        auto parseId = [](const std::string &field,
-                          const char *what) {
-            std::uint64_t v = 0;
-            const auto res = std::from_chars(
-                field.data(), field.data() + field.size(), v);
-            if (res.ec != std::errc{} ||
-                res.ptr != field.data() + field.size())
-                ltc_fatal("CSV parse error: bad ", what, " '", field,
-                          "'");
-            return v;
-        };
-        RunResult r;
-        r.cell.index =
-            static_cast<std::size_t>(parseId(fields[0], "cell"));
-        r.cell.workload = fields[1];
-        r.cell.config = fields[2];
-        r.cell.seed = parseId(fields[3], "seed");
-        for (std::size_t k = 0; k < keys.size(); k++) {
-            const std::string &field = fields[4 + k];
-            if (field.empty())
-                continue;
-            double v = 0.0;
-            const auto res = std::from_chars(
-                field.data(), field.data() + field.size(), v);
-            if (res.ec != std::errc{})
-                ltc_fatal("CSV parse error: bad number '", field,
-                          "'");
-            r.set(keys[k], v);
-        }
-        records.push_back(std::move(r));
-    }
     return records;
 }
 

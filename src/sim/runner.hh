@@ -238,9 +238,6 @@ std::string resultsToCsv(const std::vector<RunResult> &records);
  */
 std::vector<RunResult> resultsFromJson(const std::string &text);
 
-/** Parse records back from resultsToCsv() output. */
-std::vector<RunResult> resultsFromCsv(const std::string &text);
-
 /**
  * Per-bench output collector.
  *

@@ -207,21 +207,29 @@ TEST(ResultSerializationTest, JsonRoundTrip)
     EXPECT_EQ(json, resultsToJson(parsed));
 }
 
-TEST(ResultSerializationTest, CsvRoundTrip)
+TEST(ResultSerializationTest, CsvExportMatchesExpectedText)
 {
-    const auto records = sampleRecords();
-    const std::string csv = resultsToCsv(records);
-    const auto parsed = resultsFromCsv(csv);
-    expectRecordsEqual(records, parsed);
-    EXPECT_EQ(csv, resultsToCsv(parsed));
+    // RFC-4180 quoting of commas, quotes and newlines; an empty field
+    // where a record lacks a metric.
+    EXPECT_EQ(resultsToCsv(sampleRecords()),
+              "cell,workload,config,seed,ipc,gain_pct,extra\n"
+              "0,mcf,cfg,11400714819323204750,0.1,-12.75,\n"
+              "1,mcf,\"w/ partner, escaped\",5948752311840759930,0.2,"
+              "-11.75,0.3333333333333333\n"
+              "2,\"a,b \"\"quoted\"\"\",cfg,15633863312697006263,"
+              "0.30000000000000004,-10.75,\n"
+              "3,\"a,b \"\"quoted\"\"\",\"w/ partner, escaped\","
+              "12216290510129819096,0.4,-9.75,\n"
+              "4,\"multi\nline\",cfg,16557341240219839745,0.5,-8.75,\n"
+              "5,\"multi\nline\",\"w/ partner, escaped\","
+              "8404368852063283713,0.6000000000000001,-7.75,\n");
 }
 
 TEST(ResultSerializationTest, EmptyRecords)
 {
     EXPECT_EQ(resultsToJson({}), "[]");
     EXPECT_TRUE(resultsFromJson("[]").empty());
-    const auto parsed = resultsFromCsv(resultsToCsv({}));
-    EXPECT_TRUE(parsed.empty());
+    EXPECT_EQ(resultsToCsv({}), "cell,workload,config,seed\n");
 }
 
 TEST(ResultSerializationTest, ParsesFullSinkDocument)
