@@ -299,7 +299,7 @@ TEST(TraceIoErrorTest, TruncatedChunkPayload)
     const std::string path = tmpPath("trunc_chunk.ltct");
     writeTraceFile(path, randomRefs(100, 2));
     auto bytes = slurp(path);
-    bytes.resize(bytes.size() - 7); // cut mid-payload
+    bytes.erase(bytes.end() - 7, bytes.end()); // cut mid-payload
     spit(path, bytes);
     TraceErrc err = TraceErrc::Ok;
     readAll(path, err);
@@ -379,7 +379,7 @@ TEST(TraceIoErrorTest, TruncatedV1Body)
     const std::string path = tmpPath("trunc_v1.bin");
     writeTraceFileV1(path, randomRefs(50, 4));
     auto bytes = slurp(path);
-    bytes.resize(bytes.size() - 11);
+    bytes.erase(bytes.end() - 11, bytes.end());
     spit(path, bytes);
     TraceErrc err = TraceErrc::Ok;
     readAll(path, err);
