@@ -42,7 +42,7 @@ CacheHierarchy::prefetch(Addr addr, Addr predicted_victim)
     // let the policy pick the victim (which itself prefers other
     // marked-dead ways).
     if (config_.l1d.policy == ReplPolicy::DeadBlock &&
-        !l1d_.isDead(predicted_victim)) {
+        predicted_victim != invalidAddr && !l1d_.isDead(predicted_victim)) {
         predicted_victim = invalidAddr;
     }
 
