@@ -240,6 +240,28 @@ readChunk(std::FILE *f, std::uint32_t chunk_capacity,
     return TraceErrc::Ok;
 }
 
+/**
+ * Append up to @p refs records to @p writer, pulling them in batches
+ * through @p fill (a source's or a reader's fill()); stops early at a
+ * short batch or a failed write.
+ */
+template <typename Fill>
+void
+copyRecords(Fill fill, std::uint64_t refs, StreamingTraceWriter &writer)
+{
+    std::vector<MemRef> batch(4096);
+    while (refs > 0 && writer.ok()) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(refs, batch.size()));
+        const std::size_t got = fill(std::span(batch.data(), want));
+        for (std::size_t i = 0; i < got; i++)
+            writer.append(batch[i]);
+        refs -= got;
+        if (got < want)
+            break;
+    }
+}
+
 } // namespace
 
 const char *
@@ -607,18 +629,8 @@ captureToFile(TraceSource &source, const std::string &path,
 {
     StreamingTraceWriter writer(path, chunk_records);
     source.reset();
-    std::vector<MemRef> batch(4096);
-    std::uint64_t remaining = refs;
-    while (remaining > 0 && writer.ok()) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, batch.size()));
-        const std::size_t got = source.fill({batch.data(), want});
-        for (std::size_t i = 0; i < got; i++)
-            writer.append(batch[i]);
-        remaining -= got;
-        if (got < want)
-            break;
-    }
+    copyRecords([&](std::span<MemRef> b) { return source.fill(b); }, refs,
+                writer);
     if (out_written)
         *out_written = writer.written();
     return writer.finish();
@@ -633,18 +645,8 @@ convertTraceFile(const std::string &in_path,
     if (!reader.ok())
         return reader.error();
     StreamingTraceWriter writer(out_path, chunk_records);
-    std::vector<MemRef> batch(4096);
-    std::uint64_t remaining = limit ? limit : reader.records();
-    while (remaining > 0 && writer.ok()) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, batch.size()));
-        const std::size_t got = reader.fill({batch.data(), want});
-        for (std::size_t i = 0; i < got; i++)
-            writer.append(batch[i]);
-        remaining -= got;
-        if (got < want)
-            break;
-    }
+    copyRecords([&](std::span<MemRef> b) { return reader.fill(b); },
+                limit ? limit : reader.records(), writer);
     if (!reader.ok())
         return reader.error();
     return writer.finish();
