@@ -179,9 +179,7 @@ readHeader(std::FILE *f, std::uint32_t &version, std::uint64_t &records,
     if (version == 1) {
         records = getU32(header + 12);
         chunk_records = v1BufferRecords;
-    } else if (version != 2) {
-        return TraceErrc::UnsupportedVersion;
-    } else {
+    } else if (version == 2) {
         if (std::fread(header + v1HeaderBytes, 1,
                        v2HeaderBytes - v1HeaderBytes,
                        f) != v2HeaderBytes - v1HeaderBytes) {
@@ -191,6 +189,8 @@ readHeader(std::FILE *f, std::uint32_t &version, std::uint64_t &records,
         records = getU64(header + 16);
         if (chunk_records == 0 || chunk_records > maxChunkRecords)
             return TraceErrc::BadHeader;
+    } else {
+        return TraceErrc::UnsupportedVersion;
     }
 
     const long data_start = std::ftell(f);
