@@ -48,27 +48,6 @@ Cache::fill(Addr addr, Addr predicted_victim, std::uint8_t meta)
     return insert(tagOf(addr), set, way, status);
 }
 
-bool
-Cache::invalidate(Addr addr)
-{
-    const std::size_t idx = findIndex(addr);
-    if (idx == noWay)
-        return false;
-    tagFlags_[idx] = 0;
-    stamps_[idx] = 0;
-    return true;
-}
-
-void
-Cache::flush()
-{
-    // Line state (including engine metadata) dies with the contents;
-    // eviction marks describe non-resident blocks and survive, as
-    // the engines' side tables always did.
-    std::fill(tagFlags_.begin(), tagFlags_.end(), 0);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-}
-
 std::uint8_t
 Cache::takeMeta(Addr addr)
 {

@@ -201,12 +201,6 @@ class Cache
      */
     bool probe(Addr addr) const { return findIndex(addr) != noWay; }
 
-    /** Invalidate @p addr if resident; returns true if it was. */
-    bool invalidate(Addr addr);
-
-    /** Invalidate everything (context loss experiments). */
-    void flush();
-
     /** True if the block was brought in by a prefetch and not yet
      *  referenced by demand. */
     bool isUntouchedPrefetch(Addr addr) const;

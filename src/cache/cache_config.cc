@@ -56,18 +56,6 @@ CacheConfig::l1d()
 }
 
 CacheConfig
-CacheConfig::l1i()
-{
-    CacheConfig c;
-    c.name = "L1I";
-    c.sizeBytes = 64 * 1024;
-    c.assoc = 4;
-    c.lineBytes = 64;
-    c.latency = 2;
-    return c;
-}
-
-CacheConfig
 CacheConfig::l2()
 {
     CacheConfig c;

@@ -61,8 +61,6 @@ struct CacheConfig
 
     /** 64KB 2-way 64B 2-cycle L1D (Table 1). */
     static CacheConfig l1d();
-    /** 64KB 4-way 64B 2-cycle L1I (Table 1). */
-    static CacheConfig l1i();
     /** 1MB 8-way 64B 20-cycle unified L2 (Table 1). */
     static CacheConfig l2();
 };

@@ -5,20 +5,6 @@
 namespace ltc
 {
 
-const char *
-hitLevelName(HitLevel level)
-{
-    switch (level) {
-      case HitLevel::L1:
-        return "L1";
-      case HitLevel::L2:
-        return "L2";
-      case HitLevel::Memory:
-        return "memory";
-    }
-    return "?";
-}
-
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
     : config_(config), l1d_(config.l1d), l2_(config.l2)
 {
@@ -76,13 +62,6 @@ CacheHierarchy::prefetchL2(Addr addr)
     if (!out.l2Hit)
         l1d_.takeMeta(addr);
     return out;
-}
-
-void
-CacheHierarchy::flush()
-{
-    l1d_.flush();
-    l2_.flush();
 }
 
 } // namespace ltc

@@ -110,8 +110,6 @@ enum class HitLevel
     Memory,
 };
 
-const char *hitLevelName(HitLevel level);
-
 /**
  * The block one level's replacement evicted, as the hierarchy reports
  * it: the event behind Fig. 8's incorrect and early classes and
@@ -255,9 +253,6 @@ class CacheHierarchy
      * classification entry, an off-chip one, moves to the L2 line.
      */
     PrefetchOutcome prefetchL2(Addr addr);
-
-    /** Drop all cached state (used to model loss of cache contents). */
-    void flush();
 
     Cache &l1d() { return l1d_; }
     Cache &l2() { return l2_; }

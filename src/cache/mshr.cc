@@ -53,12 +53,4 @@ MshrFile::auditInvariants() const
               earliest_, ", true minimum ", earliest);
 }
 
-void
-MshrFile::clear()
-{
-    entries_.clear();
-    earliest_ = noEarliest;
-    present_.fill(0);
-}
-
 } // namespace ltc

@@ -116,8 +116,6 @@ class MshrFile
     /** Peak simultaneous occupancy observed. */
     std::uint32_t peakOccupancy() const { return peak_; }
 
-    void clear();
-
     /**
      * LTC_CHECK every representation invariant: occupancy within
      * capacity, no duplicate outstanding block, the cached

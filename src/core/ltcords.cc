@@ -9,30 +9,6 @@
 namespace ltc
 {
 
-namespace
-{
-
-std::uint64_t
-computeOnChipBytes(const LtcordsConfig &c)
-{
-    // Signature cache: 42-bit entries (Section 5.6). Sequence tag
-    // array: per frame, a head hash (we charge 23 bits) plus a window
-    // position (log2(fragment) bits, <= 13 in the paper's config).
-    const std::uint64_t sig_bits =
-        static_cast<std::uint64_t>(c.sigCacheEntries) * 42;
-    const std::uint64_t tag_bits =
-        static_cast<std::uint64_t>(c.numFrames) * (23 + 13);
-    return (sig_bits + tag_bits) / 8;
-}
-
-} // namespace
-
-std::uint64_t
-LtcordsConfig::onChipBytes() const
-{
-    return computeOnChipBytes(*this);
-}
-
 LtCords::LtCords(const LtcordsConfig &config)
     : config_(config), history_(config.l1Sets, config.lineBytes),
       sigCache_(config.sigCacheEntries, config.sigCacheAssoc),
@@ -299,7 +275,14 @@ LtCords::auditInvariants() const
 std::uint64_t
 LtCords::onChipBytes() const
 {
-    return computeOnChipBytes(config_);
+    // Signature cache: 42-bit entries (Section 5.6). Sequence tag
+    // array: per frame, a head hash (we charge 23 bits) plus a window
+    // position (log2(fragment) bits, <= 13 in the paper's config).
+    const std::uint64_t sig_bits =
+        static_cast<std::uint64_t>(config_.sigCacheEntries) * 42;
+    const std::uint64_t tag_bits =
+        static_cast<std::uint64_t>(config_.numFrames) * (23 + 13);
+    return (sig_bits + tag_bits) / 8;
 }
 
 } // namespace ltc

@@ -118,13 +118,6 @@ struct LtcordsConfig
             fragmentSignatures;
     }
 
-    /**
-     * On-chip storage estimate, bytes: 42-bit signature-cache entries
-     * plus the sequence tag array (head hash + window position per
-     * frame), per Section 5.6.
-     */
-    std::uint64_t onChipBytes() const;
-
     /** Paper configuration (Section 5.6): 4K frames x 8K signatures. */
     static LtcordsConfig
     paper()

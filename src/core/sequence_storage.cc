@@ -86,16 +86,6 @@ SequenceStorage::noteStreamRead(std::uint64_t sigs)
     pendingReadBytes_ += sigs * config_.signatureBytes;
 }
 
-std::uint64_t
-SequenceStorage::residentSignatures() const
-{
-    std::uint64_t n = 0;
-    for (const Frame &f : frames_)
-        if (f.valid)
-            n += f.sigs.size();
-    return n;
-}
-
 std::uint32_t
 SequenceStorage::framesInUse() const
 {

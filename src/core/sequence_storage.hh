@@ -117,8 +117,6 @@ class SequenceStorage
 
     /** Total signatures ever recorded. */
     std::uint64_t recordedTotal() const { return recordedTotal_; }
-    /** Signatures currently resident across all frames. */
-    std::uint64_t residentSignatures() const;
     /** Frames holding fragments. */
     std::uint32_t framesInUse() const;
     /** Fragments overwritten by frame conflicts. */

@@ -35,8 +35,6 @@ enum class Traffic : unsigned
     NumClasses,
 };
 
-const char *trafficName(Traffic traffic);
-
 /** Byte counters per traffic class. */
 class BandwidthAccount
 {
@@ -53,8 +51,6 @@ class BandwidthAccount
         return counters_[static_cast<unsigned>(traffic)];
     }
 
-    std::uint64_t totalBytes() const;
-
     /** Bytes per committed instruction for one class. */
     double
     perInstruction(Traffic traffic, InstCount instructions) const
@@ -63,8 +59,6 @@ class BandwidthAccount
                 static_cast<double>(instructions)
                             : 0.0;
     }
-
-    void reset() { counters_.fill(0); }
 
   private:
     std::array<std::uint64_t,

@@ -1,7 +1,5 @@
 #include "mem/bus.hh"
 
-#include <algorithm>
-
 #include "util/check.hh"
 #include "util/logging.hh"
 
@@ -37,15 +35,6 @@ Bus::Bus(const BusConfig &config) : config_(config)
                "bus with zero clock ratio");
 }
 
-double
-Bus::utilization(Cycle horizon) const
-{
-    if (horizon == 0)
-        return 0.0;
-    return std::min(1.0, static_cast<double>(busyCycles_) /
-                             static_cast<double>(horizon));
-}
-
 void
 Bus::auditInvariants() const
 {
@@ -62,16 +51,6 @@ Bus::auditInvariants() const
               config_.name, ": ", busyCycles_, " busy cycles from ",
               transfers_, " transfers of >= ", config_.occupancy(0),
               " cycles each");
-}
-
-void
-Bus::reset()
-{
-    busyUntil_ = 0;
-    busyCycles_ = 0;
-    queueCycles_ = 0;
-    bytesMoved_ = 0;
-    transfers_ = 0;
 }
 
 } // namespace ltc

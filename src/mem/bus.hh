@@ -51,7 +51,7 @@ struct BusConfig
     static BusConfig memory();
 };
 
-/** Single-channel bus with FIFO service and utilization accounting. */
+/** Single-channel bus with FIFO service and occupancy accounting. */
 class Bus
 {
   public:
@@ -92,9 +92,6 @@ class Bus
     /** Earliest cycle >= @p now at which the bus is free. */
     Cycle freeAt(Cycle now) const { return std::max(now, busyUntil_); }
 
-    /** True if a transfer starting at @p now would not queue. */
-    bool isFree(Cycle now) const { return busyUntil_ <= now; }
-
     // LTC_HOT_END
 
     const BusConfig &config() const { return config_; }
@@ -107,11 +104,6 @@ class Bus
     std::uint64_t transfers() const { return transfers_; }
     /** Total cycles transfers spent queued before starting. */
     Cycle queueCycles() const { return queueCycles_; }
-
-    /** Fraction of wall-clock cycles busy up to @p horizon. */
-    double utilization(Cycle horizon) const;
-
-    void reset();
 
     /**
      * LTC_CHECK the occupancy accounting: the busy horizon is

@@ -27,7 +27,7 @@ struct DramConfig
     std::uint32_t addressBits = 30;
 };
 
-/** Stateless latency calculator with simple traffic counters. */
+/** Stateless latency calculator. */
 class DramModel
 {
   public:
@@ -45,40 +45,13 @@ class DramModel
             (chunks - 1) * config_.nextChunkCycles;
     }
 
-    /** Record a read of @p bytes and return its latency. */
-    Cycle
-    read(std::uint32_t bytes)
-    {
-        bytesRead_ += bytes;
-        return latency(bytes);
-    }
-
-    /**
-     * Record a read of @p bytes whose latency the caller computed
-     * once up front (the timing engine reads whole cache blocks, so
-     * the latency is a per-run constant).
-     */
-    void noteRead(std::uint32_t bytes) { bytesRead_ += bytes; }
-
-    /** Record a write of @p bytes and return its latency. */
-    Cycle
-    write(std::uint32_t bytes)
-    {
-        bytesWritten_ += bytes;
-        return latency(bytes);
-    }
-
     const DramConfig &config() const { return config_; }
-    std::uint64_t bytesRead() const { return bytesRead_; }
-    std::uint64_t bytesWritten() const { return bytesWritten_; }
 
     /** LTC_CHECK the configuration/latency invariants (cold path). */
     void auditInvariants() const;
 
   private:
     DramConfig config_;
-    std::uint64_t bytesRead_ = 0;
-    std::uint64_t bytesWritten_ = 0;
 };
 
 } // namespace ltc

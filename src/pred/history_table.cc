@@ -45,11 +45,4 @@ HistoryTable::closeWindow(std::uint32_t set, Addr victim_block)
     e.evicted[0] = victim_block & ~static_cast<Addr>(lineBytes_ - 1);
 }
 
-std::uint64_t
-HistoryTable::storageBits(std::uint32_t tag_bits) const
-{
-    constexpr std::uint64_t trace_bits = 23; // Section 5.6
-    return entries_.size() * (trace_bits + 2ull * tag_bits);
-}
-
 } // namespace ltc

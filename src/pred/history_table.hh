@@ -80,12 +80,6 @@ class HistoryTable
         return static_cast<std::uint32_t>(entries_.size());
     }
 
-    /**
-     * On-chip storage estimate in bits: per set, a trace hash
-     * (23 bits per Section 5.6) plus two tags.
-     */
-    std::uint64_t storageBits(std::uint32_t tag_bits = 20) const;
-
   private:
     struct Entry
     {

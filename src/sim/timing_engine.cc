@@ -94,7 +94,6 @@ TimingSim::missCompletion(HitLevel level, Cycle ready)
         // L2 lookup (miss) then the memory round trip.
         const Cycle mem_req = memReq_.transferPrecomputed(
             req_done + config_.hier.l2.latency, 0, memReqOcc_);
-        dram_.noteRead(line);
         data_ready = mem_req + dramLineLat_;
         // Block transfer over the memory data bus.
         data_ready = memData_.transferPrecomputed(data_ready, line,
@@ -195,7 +194,6 @@ TimingSim::issuePrefetch(const PrefetchRequest &req, Cycle now)
     } else {
         const Cycle mem_req = memReq_.transferPrecomputed(
             req_done + config_.hier.l2.latency, 0, memReqOcc_);
-        dram_.noteRead(line);
         data_ready = memData_.transferPrecomputed(
             mem_req + dramLineLat_, line, memLineOcc_);
     }

@@ -21,13 +21,6 @@ TraceEngine::selectBucket(std::uint32_t bucket)
     current_ = bucket;
 }
 
-const CoverageStats &
-TraceEngine::stats(std::uint32_t bucket) const
-{
-    ltc_assert(bucket < buckets_.size(), "bucket out of range: ", bucket);
-    return buckets_[bucket];
-}
-
 CoverageStats &
 TraceEngine::stats(std::uint32_t bucket)
 {

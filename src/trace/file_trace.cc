@@ -8,19 +8,6 @@
 namespace ltc
 {
 
-void
-writeTraceFile(const std::string &path, const std::vector<MemRef> &refs)
-{
-    StreamingTraceWriter writer(path);
-    for (const MemRef &ref : refs)
-        writer.append(ref);
-    const TraceErrc errc = writer.finish();
-    if (errc != TraceErrc::Ok) {
-        ltc_fatal("cannot write trace file ", path, ": ",
-                  traceErrcMessage(errc));
-    }
-}
-
 std::vector<MemRef>
 readTraceFile(const std::string &path, TraceErrc *err)
 {

@@ -1,16 +1,16 @@
 /**
  * @file
- * Binary trace file reader/writer.
+ * Binary trace file readers.
  *
  * Lets users capture a reference stream once (e.g. from their own
  * instrumentation) and replay it through any engine in this library.
- * writeTraceFile() produces the chunked, delta-compressed .ltct v2
- * container; readTraceFile() and FileTrace accept both v2 and the
- * legacy v1 eager format (see trace/trace_io.hh and
- * docs/TRACE_FORMAT.md). These are the fatal-on-error conveniences
- * over trace_io.hh's typed-error container code: both read through
- * StreamingTraceReader::fill(), so FileTrace's memory stays O(chunk)
- * however long the trace is.
+ * StreamingTraceWriter and captureToFile() (trace/trace_io.hh) write
+ * the chunked, delta-compressed .ltct v2 container; readTraceFile()
+ * and FileTrace accept both v2 and the legacy v1 eager format (see
+ * trace/trace_io.hh and docs/TRACE_FORMAT.md). These are the
+ * fatal-on-error conveniences over trace_io.hh's typed-error
+ * container code: both read through StreamingTraceReader::fill(), so
+ * FileTrace's memory stays O(chunk) however long the trace is.
  */
 
 #ifndef LTC_TRACE_FILE_TRACE_HH
@@ -26,10 +26,6 @@
 
 namespace ltc
 {
-
-/** Write @p refs to @p path as a v2 container; fatal on I/O failure. */
-void writeTraceFile(const std::string &path,
-                    const std::vector<MemRef> &refs);
 
 /**
  * Read an entire trace file (v1 or v2).

@@ -4,10 +4,9 @@
  *
  * Every simulator engine in this repository consumes a TraceSource: a
  * pull-based stream of MemRef records. Synthetic workload generators
- * (trace/workloads.hh), file readers (trace/file_trace.hh) and
- * in-memory replay buffers all implement this interface, so the same
- * engine runs the paper's trace-driven studies and the cycle-accurate
- * timing experiments.
+ * (trace/workloads.hh) and file readers (trace/file_trace.hh)
+ * implement this interface, so the same engine runs the paper's
+ * trace-driven studies and the cycle-accurate timing experiments.
  */
 
 #ifndef LTC_TRACE_TRACE_HH
@@ -126,41 +125,6 @@ class RefPuller
 
 // LTC_HOT_END
 
-/** Replay of an in-memory vector of references. */
-class VectorTrace final : public TraceSource
-{
-  public:
-    explicit VectorTrace(std::vector<MemRef> refs,
-                         std::string name = "vector");
-
-    std::size_t fill(std::span<MemRef> out) override;
-    void reset() override { pos_ = 0; }
-    std::string name() const override { return name_; }
-
-    std::size_t size() const { return refs_.size(); }
-
-  private:
-    std::vector<MemRef> refs_;
-    std::size_t pos_ = 0;
-    std::string name_;
-};
-
-/** Bounds a (possibly infinite) source to at most @c limit records. */
-class LimitSource final : public TraceSource
-{
-  public:
-    LimitSource(std::unique_ptr<TraceSource> inner, std::uint64_t limit);
-
-    std::size_t fill(std::span<MemRef> out) override;
-    void reset() override;
-    std::string name() const override { return inner_->name(); }
-
-  private:
-    std::unique_ptr<TraceSource> inner_;
-    std::uint64_t limit_;
-    std::uint64_t produced_ = 0;
-};
-
 /** Adds a constant byte offset to every address (multi-programming). */
 class ShiftSource final : public TraceSource
 {
@@ -175,15 +139,6 @@ class ShiftSource final : public TraceSource
     std::unique_ptr<TraceSource> inner_;
     Addr offset_;
 };
-
-/**
- * Materialise the first @p limit records of @p source into a vector,
- * pulling in batches through fill(). The result is reserved up front,
- * clamped to 1M records (a lying bound must not drive a giant
- * allocation), so replay buffers handed to VectorTrace are
- * right-sized from the start.
- */
-std::vector<MemRef> collect(TraceSource &source, std::uint64_t limit);
 
 } // namespace ltc
 

@@ -241,6 +241,37 @@ readChunk(std::FILE *f, std::uint32_t chunk_capacity,
 }
 
 /**
+ * Check that @p f, positioned just past the last record the header
+ * promises, is at end of file. Bytes after the last chunk (or v1
+ * record) are covered by no count or checksum, so a file that has
+ * them is a CountMismatch.
+ */
+TraceErrc
+expectEndOfFile(std::FILE *f)
+{
+    return std::fgetc(f) == EOF ? TraceErrc::Ok : TraceErrc::CountMismatch;
+}
+
+/**
+ * Finish @p writer and return @p errc, or the writer's first error if
+ * @p errc is Ok. On any error the output at @p path is removed: a
+ * failed import or convert must not leave a container that reads as
+ * valid. A writer that could not open @p path created nothing, so
+ * nothing is removed.
+ */
+TraceErrc
+finishOrRemove(StreamingTraceWriter &writer, const std::string &path,
+               TraceErrc errc)
+{
+    const TraceErrc finished = writer.finish();
+    if (errc == TraceErrc::Ok)
+        errc = finished;
+    if (errc != TraceErrc::Ok && finished != TraceErrc::OpenFailed)
+        std::remove(path.c_str());
+    return errc;
+}
+
+/**
  * Append up to @p refs records to @p writer, pulling them in batches
  * through @p fill (a source's or a reader's fill()); stops early at a
  * short batch or a failed write.
@@ -500,8 +531,13 @@ StreamingTraceReader::loadNextChunk()
 {
     bufPos_ = 0;
     bufLen_ = 0;
-    if (!ok() || consumed_ >= records_)
-        return false; // failure or clean end of trace
+    if (!ok())
+        return false;
+    if (consumed_ >= records_) {
+        // End of trace: clean only if the file ends here too.
+        const TraceErrc errc = expectEndOfFile(file_.get());
+        return errc == TraceErrc::Ok ? false : fail(errc);
+    }
     std::uint32_t count = 0;
 
     if (version_ == 1) {
@@ -596,11 +632,13 @@ probeTraceFile(const std::string &path, TraceFileInfo &info)
 
     if (info.version == 1) {
         info.chunkRecords = 0;
-        if (info.fileBytes <
-            v1HeaderBytes + info.records * v1RecordBytes) {
+        const std::uint64_t end =
+            v1HeaderBytes + info.records * v1RecordBytes;
+        if (info.fileBytes < end)
             return TraceErrc::TruncatedChunk;
-        }
-        return TraceErrc::Ok;
+        if (std::fseek(f.get(), static_cast<long>(end), SEEK_SET) != 0)
+            return TraceErrc::TruncatedChunk;
+        return expectEndOfFile(f.get());
     }
 
     std::uint64_t remaining = info.records;
@@ -615,6 +653,9 @@ probeTraceFile(const std::string &path, TraceFileInfo &info)
         info.chunks++;
         info.payloadBytes += payload.size();
     }
+    errc = expectEndOfFile(f.get());
+    if (errc != TraceErrc::Ok)
+        return errc;
     info.fileBytes = v2HeaderBytes +
         info.chunks * chunkHeaderBytes + info.payloadBytes;
     return TraceErrc::Ok;
@@ -633,7 +674,7 @@ captureToFile(TraceSource &source, const std::string &path,
                 writer);
     if (out_written)
         *out_written = writer.written();
-    return writer.finish();
+    return finishOrRemove(writer, path, TraceErrc::Ok);
 }
 
 TraceErrc
@@ -645,11 +686,11 @@ convertTraceFile(const std::string &in_path,
     if (!reader.ok())
         return reader.error();
     StreamingTraceWriter writer(out_path, chunk_records);
+    // Without a limit, pull until the reader comes back short, so its
+    // end-of-file check runs.
     copyRecords([&](std::span<MemRef> b) { return reader.fill(b); },
-                limit ? limit : reader.records(), writer);
-    if (!reader.ok())
-        return reader.error();
-    return writer.finish();
+                limit ? limit : ~std::uint64_t{0}, writer);
+    return finishOrRemove(writer, out_path, reader.error());
 }
 
 // --------------------------------------------------- ChampSim import
@@ -685,8 +726,10 @@ importChampSimFile(const std::string &in_path,
             std::fread(rec, 1, sizeof(rec), in.get());
         if (got == 0)
             break;
-        if (got != sizeof(rec))
-            return TraceErrc::MalformedRecord; // trailing partial record
+        if (got != sizeof(rec)) { // trailing partial record
+            return finishOrRemove(writer, out_path,
+                                  TraceErrc::MalformedRecord);
+        }
         const std::uint64_t ip = getU64(rec);
         // destination_memory at offset 16, source_memory at 32.
         bool first = true;
@@ -715,7 +758,7 @@ importChampSimFile(const std::string &in_path,
     }
     if (out_written)
         *out_written = writer.written();
-    return writer.finish();
+    return finishOrRemove(writer, out_path, TraceErrc::Ok);
 }
 
 } // namespace ltc

@@ -169,7 +169,8 @@ class StreamingTraceWriter
  * replay memory is bounded by the file's chunk capacity regardless of
  * trace length. Malformed input surfaces as a typed error: fill()
  * returns short and error() identifies the failure; a clean end of
- * trace leaves error() == Ok.
+ * trace (the header's records, then end of file) leaves
+ * error() == Ok.
  */
 class StreamingTraceReader
 {
@@ -189,8 +190,6 @@ class StreamingTraceReader
     std::uint32_t version() const { return version_; }
     /** Total records the header promises. */
     std::uint64_t records() const { return records_; }
-    /** Records the reader will buffer at once. */
-    std::uint32_t chunkCapacity() const { return chunkRecords_; }
 
     /**
      * Copy up to out.size() records into @p out, decoding the next
@@ -243,7 +242,8 @@ TraceErrc writeTraceFileV1(const std::string &path,
 
 /**
  * Capture up to @p refs records of @p source (from its start; the
- * source is reset() first) into a v2 container at @p path.
+ * source is reset() first) into a v2 container at @p path. An error
+ * after @p path is created removes it.
  * @param out_written Optional: records actually captured (a finite
  *        source may end early).
  */
@@ -254,7 +254,8 @@ TraceErrc captureToFile(TraceSource &source, const std::string &path,
 
 /**
  * Re-encode the container at @p in_path (v1 or v2) as a v2 container
- * at @p out_path, preserving the record sequence exactly.
+ * at @p out_path, preserving the record sequence exactly. An error
+ * after @p out_path is created (the input's included) removes it.
  * @param limit 0 = all records, otherwise stop after @p limit.
  */
 TraceErrc convertTraceFile(const std::string &in_path,
@@ -269,7 +270,8 @@ TraceErrc convertTraceFile(const std::string &in_path,
  * Each instruction contributes one MemRef per non-zero source-memory
  * slot (load) and destination-memory slot (store), with pc = ip;
  * instructions without memory operands accumulate into the next
- * record's nonMemGap. Decompress .xz/.gz captures first.
+ * record's nonMemGap. Decompress .xz/.gz captures first. An error
+ * after @p out_path is created removes it.
  *
  * @param limit       0 = all, otherwise stop after emitting this many
  *                    memory references.

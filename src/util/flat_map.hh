@@ -68,8 +68,6 @@ class AddrMap
         return const_cast<AddrMap *>(this)->find(key);
     }
 
-    bool contains(Addr key) const { return find(key) != nullptr; }
-
     /** Insert @p key -> @p value, overwriting any existing mapping. */
     void
     insert(Addr key, const V &value)

@@ -97,25 +97,15 @@ class TraceHash
         v = (v << 7) | (v >> 57); // rotl 7
         v ^= mix64(pc);
         value_ = v;
-        length_++;
     }
 
     /** Reset on set eviction. */
-    void
-    clear()
-    {
-        value_ = 0;
-        length_ = 0;
-    }
+    void clear() { value_ = 0; }
 
     std::uint64_t value() const { return value_; }
 
-    /** Number of PCs folded in since the last clear. */
-    std::uint32_t length() const { return length_; }
-
   private:
     std::uint64_t value_ = 0;
-    std::uint32_t length_ = 0;
 };
 
 } // namespace ltc

@@ -1,16 +1,10 @@
 #include "util/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace ltc
 {
-
-namespace
-{
-std::atomic<std::uint64_t> warnCounter{0};
-} // namespace
 
 void
 panicImpl(const char *file, int line, const std::string &msg)
@@ -31,7 +25,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const char *file, int line, const std::string &msg)
 {
-    warnCounter.fetch_add(1, std::memory_order_relaxed);
     std::fprintf(stderr, "warn: %s (%s:%d)\n", msg.c_str(), file, line);
 }
 
@@ -39,12 +32,6 @@ void
 informImpl(const std::string &msg)
 {
     std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-std::uint64_t
-warnCount()
-{
-    return warnCounter.load(std::memory_order_relaxed);
 }
 
 } // namespace ltc

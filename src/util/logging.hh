@@ -27,9 +27,6 @@ namespace ltc
 void warnImpl(const char *file, int line, const std::string &msg);
 void informImpl(const std::string &msg);
 
-/** Number of warn() calls since process start (useful in tests). */
-std::uint64_t warnCount();
-
 namespace detail
 {
 

@@ -86,14 +86,6 @@ Log2Histogram::merge(const Log2Histogram &other)
     sum_ += other.sum_;
 }
 
-void
-Log2Histogram::clear()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    total_ = 0;
-    sum_ = 0.0;
-}
-
 std::vector<std::pair<std::uint64_t, double>>
 Log2Histogram::cdfSeries() const
 {
@@ -110,58 +102,6 @@ Log2Histogram::cdfSeries() const
             break;
     }
     return series;
-}
-
-void
-RunningStats::sample(double v)
-{
-    if (n_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    n_++;
-    sum_ += v;
-    sumSq_ += v * v;
-}
-
-double
-RunningStats::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    const double m = mean();
-    return std::max(0.0, sumSq_ / static_cast<double>(n_) - m * m);
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    n_ += other.n_;
-    sum_ += other.sum_;
-    sumSq_ += other.sumSq_;
-}
-
-void
-RunningStats::clear()
-{
-    *this = RunningStats{};
 }
 
 double
@@ -184,19 +124,6 @@ StatSet::dump() const
     for (const auto &[key, value] : values_)
         os << name_ << '.' << key << ' ' << value << '\n';
     return os.str();
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double v : values) {
-        ltc_assert(v > 0.0, "geomean of non-positive value ", v);
-        acc += std::log(v);
-    }
-    return std::exp(acc / static_cast<double>(values.size()));
 }
 
 double

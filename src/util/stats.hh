@@ -62,8 +62,6 @@ class Log2Histogram
      */
     void merge(const Log2Histogram &other);
 
-    void clear();
-
     /**
      * CDF series for plotting: (upper bound of bucket, cumulative
      * fraction) pairs for non-empty prefixes.
@@ -74,32 +72,6 @@ class Log2Histogram
     std::vector<std::uint64_t> buckets_;
     std::uint64_t total_ = 0;
     double sum_ = 0.0;
-};
-
-/** Arithmetic running statistics: mean, min, max, variance. */
-class RunningStats
-{
-  public:
-    void sample(double v);
-
-    std::uint64_t count() const { return n_; }
-    double mean() const { return n_ ? sum_ / n_ : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-
-    /** Fold @p other's samples into this accumulator. */
-    void merge(const RunningStats &other);
-
-    void clear();
-
-  private:
-    std::uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /**
@@ -129,9 +101,6 @@ class StatSet
     std::string name_;
     std::map<std::string, double> values_;
 };
-
-/** Geometric mean of a vector of positive values (0 if empty). */
-double geomean(const std::vector<double> &values);
 
 /** Arithmetic mean (0 if empty). */
 double amean(const std::vector<double> &values);

@@ -20,6 +20,7 @@
 #include "sim/experiment.hh"
 #include "sim/timing_engine.hh"
 #include "sim/trace_engine.hh"
+#include "test_sources.hh"
 #include "trace/file_trace.hh"
 #include "trace/primitives.hh"
 #include "trace/trace.hh"

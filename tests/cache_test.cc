@@ -310,18 +310,6 @@ TEST(CacheTest, OutcomeReportsUntouchedPrefetchVictim)
     EXPECT_FALSE(out.victimUntouchedPrefetch);
 }
 
-TEST(CacheTest, InvalidateAndFlush)
-{
-    Cache c(tinyConfig());
-    c.access(0x0000, MemOp::Load);
-    c.access(0x0100, MemOp::Load);
-    EXPECT_TRUE(c.invalidate(0x0000));
-    EXPECT_FALSE(c.probe(0x0000));
-    EXPECT_FALSE(c.invalidate(0x0000));
-    c.flush();
-    EXPECT_FALSE(c.probe(0x0100));
-}
-
 TEST(CacheTest, StoreSetsDirty)
 {
     Cache c(tinyConfig());

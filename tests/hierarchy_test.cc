@@ -359,22 +359,6 @@ TEST(HierarchyTest, PrefetchOverL2OnlyPrefetchRetiresItsEntry)
     EXPECT_EQ(hier.l2().takeMeta(kA), 0u);
 }
 
-TEST(HierarchyTest, FlushEmptiesBothLevels)
-{
-    CacheHierarchy hier(smallHier());
-    hier.access(0x1000, MemOp::Load);
-    hier.flush();
-    EXPECT_FALSE(hier.l1d().probe(0x1000));
-    EXPECT_FALSE(hier.l2().probe(0x1000));
-}
-
-TEST(HierarchyTest, HitLevelNames)
-{
-    EXPECT_STREQ(hitLevelName(HitLevel::L1), "L1");
-    EXPECT_STREQ(hitLevelName(HitLevel::L2), "L2");
-    EXPECT_STREQ(hitLevelName(HitLevel::Memory), "memory");
-}
-
 TEST(HierarchyDeathTest, MismatchedLineSizesFatal)
 {
     HierarchyConfig cfg = smallHier();

@@ -305,8 +305,6 @@ TEST(InvariantAudit, ExercisedCachePasses)
     c.auditInvariants(); // fresh
     exerciseCache(c);
     c.auditInvariants(); // exercised
-    c.flush();
-    c.auditInvariants(); // flushed
 }
 
 TEST(InvariantAudit, ExercisedMshrFilePasses)
@@ -315,7 +313,7 @@ TEST(InvariantAudit, ExercisedMshrFilePasses)
     m.auditInvariants();
     m.retire(150); // partial drain recomputes earliest_
     m.auditInvariants();
-    m.clear();
+    m.retire(300); // full drain empties the presence filter
     m.auditInvariants();
 }
 
@@ -332,8 +330,6 @@ TEST(InvariantAudit, ExercisedBusPasses)
     Bus b(BusConfig::l1l2());
     b.auditInvariants();
     b.transfer(0, 64);
-    b.auditInvariants();
-    b.reset();
     b.auditInvariants();
 }
 

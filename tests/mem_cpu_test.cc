@@ -55,31 +55,12 @@ TEST(BusTest, IdleGapNotCounted)
 TEST(BusTest, IsFreeAndFreeAt)
 {
     Bus bus(BusConfig::l1l2());
-    EXPECT_TRUE(bus.isFree(0));
+    EXPECT_EQ(bus.freeAt(0), 0u);
     bus.transfer(0, 64); // busy until 3
-    EXPECT_FALSE(bus.isFree(2));
-    EXPECT_TRUE(bus.isFree(3));
+    EXPECT_EQ(bus.freeAt(2), 3u);
+    EXPECT_EQ(bus.freeAt(3), 3u);
     EXPECT_EQ(bus.freeAt(1), 3u);
     EXPECT_EQ(bus.freeAt(10), 10u);
-}
-
-TEST(BusTest, UtilizationBounded)
-{
-    Bus bus(BusConfig::memory());
-    for (int i = 0; i < 100; i++)
-        bus.transfer(0, 64);
-    EXPECT_DOUBLE_EQ(bus.utilization(100), 1.0);
-    EXPECT_NEAR(bus.utilization(9 * 100), 1.0, 1e-9);
-    EXPECT_NEAR(bus.utilization(9 * 200), 0.5, 1e-9);
-}
-
-TEST(BusTest, Reset)
-{
-    Bus bus(BusConfig::l1l2());
-    bus.transfer(0, 64);
-    bus.reset();
-    EXPECT_EQ(bus.busyCycles(), 0u);
-    EXPECT_TRUE(bus.isFree(0));
 }
 
 TEST(BusTest, ZeroLatencyConfig)
@@ -95,7 +76,7 @@ TEST(BusTest, ZeroLatencyConfig)
     EXPECT_EQ(cfg.occupancy(0), 0u);
     EXPECT_EQ(bus.transfer(5, 0), 5u);
     EXPECT_EQ(bus.transfer(5, 0), 5u); // still free: no occupancy
-    EXPECT_TRUE(bus.isFree(5));
+    EXPECT_EQ(bus.freeAt(5), 5u);
     EXPECT_EQ(bus.busyCycles(), 0u);
     EXPECT_EQ(bus.queueCycles(), 0u);
     EXPECT_EQ(bus.transfers(), 2u);
@@ -107,7 +88,7 @@ TEST(BusTest, SaturatedWindowQueuesEveryTransfer)
 {
     // All transfers ready at cycle 0: the k-th starts when the
     // (k-1)-th finishes, so waits grow linearly and the bus never
-    // idles — utilization clamps at exactly 1.
+    // idles.
     Bus bus(BusConfig::l1l2());
     const Cycle occ = bus.config().occupancy(64); // 3 cycles
     const int n = 100;
@@ -118,7 +99,6 @@ TEST(BusTest, SaturatedWindowQueuesEveryTransfer)
     }
     EXPECT_EQ(bus.queueCycles(), queued);
     EXPECT_EQ(bus.busyCycles(), n * occ);
-    EXPECT_DOUBLE_EQ(bus.utilization(n * occ), 1.0);
     // A transfer arriving mid-saturation waits for the full backlog.
     EXPECT_EQ(bus.transfer(1, 64), (n + 1) * occ);
 }
@@ -137,31 +117,6 @@ TEST(DramTest, LatencyFormula)
     EXPECT_EQ(dram.latency(128), 209u);       // 4 chunks
 }
 
-TEST(DramTest, TrafficCounters)
-{
-    DramModel dram;
-    dram.read(64);
-    dram.read(64);
-    dram.write(32);
-    EXPECT_EQ(dram.bytesRead(), 128u);
-    EXPECT_EQ(dram.bytesWritten(), 32u);
-}
-
-TEST(DramTest, NoteReadMatchesRead)
-{
-    // The timing engine's hoisted-latency path: latency() once up
-    // front plus noteRead() per event must leave the model in the
-    // same state as read().
-    DramModel a;
-    DramModel b;
-    const Cycle lat = b.latency(64);
-    for (int i = 0; i < 5; i++) {
-        EXPECT_EQ(a.read(64), lat);
-        b.noteRead(64);
-    }
-    EXPECT_EQ(a.bytesRead(), b.bytesRead());
-}
-
 //
 // Bandwidth accounting
 //
@@ -174,16 +129,11 @@ TEST(BandwidthTest, PerClassAccounting)
     acc.add(Traffic::SequenceCreate, 25);
     acc.add(Traffic::IncorrectPrefetch, 64);
     EXPECT_EQ(acc.bytes(Traffic::BaseData), 640u);
-    EXPECT_EQ(acc.totalBytes(), 779u);
+    EXPECT_EQ(acc.bytes(Traffic::SequenceFetch), 50u);
+    EXPECT_EQ(acc.bytes(Traffic::SequenceCreate), 25u);
+    EXPECT_EQ(acc.bytes(Traffic::IncorrectPrefetch), 64u);
+    EXPECT_EQ(acc.bytes(Traffic::Writeback), 0u);
     EXPECT_DOUBLE_EQ(acc.perInstruction(Traffic::BaseData, 64), 10.0);
-    acc.reset();
-    EXPECT_EQ(acc.totalBytes(), 0u);
-}
-
-TEST(BandwidthTest, TrafficNames)
-{
-    EXPECT_STREQ(trafficName(Traffic::BaseData), "base-data");
-    EXPECT_STREQ(trafficName(Traffic::SequenceFetch), "sequence-fetch");
 }
 
 //
@@ -238,7 +188,7 @@ TEST(MshrTest, PeakOccupancyTracked)
     for (int i = 0; i < 5; i++)
         m.allocate(static_cast<Addr>(i) * 64, 0, 1000);
     EXPECT_EQ(m.peakOccupancy(), 5u);
-    m.clear();
+    m.retire(1000);
     EXPECT_EQ(m.outstanding(), 0u);
     EXPECT_EQ(m.peakOccupancy(), 5u);
 }

@@ -22,6 +22,7 @@
 #include "sim/experiment.hh"
 #include "sim/multiprog.hh"
 #include "sim/trace_engine.hh"
+#include "test_sources.hh"
 #include "trace/primitives.hh"
 #include "trace/trace.hh"
 

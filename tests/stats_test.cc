@@ -71,31 +71,6 @@ TEST(Log2HistogramTest, MergeClampsWiderHistograms)
     EXPECT_EQ(narrow.bucket(3), 1u); // clamped into the last bucket
 }
 
-TEST(RunningStatsTest, MergeMatchesCombinedSampling)
-{
-    RunningStats a, b, all;
-    for (double v : {1.0, 2.0, 3.5}) {
-        a.sample(v);
-        all.sample(v);
-    }
-    for (double v : {-4.0, 10.0}) {
-        b.sample(v);
-        all.sample(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_DOUBLE_EQ(a.mean(), all.mean());
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-    EXPECT_DOUBLE_EQ(a.variance(), all.variance());
-
-    // Merging into an empty accumulator copies the other side.
-    RunningStats fresh;
-    fresh.merge(all);
-    EXPECT_EQ(fresh.count(), all.count());
-    EXPECT_DOUBLE_EQ(fresh.min(), all.min());
-}
-
 TEST(Log2HistogramTest, CdfMonotone)
 {
     Log2Histogram h;
@@ -138,15 +113,6 @@ TEST(Log2HistogramTest, WeightedSamples)
     EXPECT_EQ(h.samples(), 7u);
 }
 
-TEST(Log2HistogramTest, ClearResets)
-{
-    Log2Histogram h;
-    h.sample(100);
-    h.clear();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
 TEST(Log2HistogramTest, CdfSeriesEndsAtOne)
 {
     Log2Histogram h;
@@ -168,37 +134,6 @@ TEST(Log2HistogramTest, OverflowClampsToLastBucket)
     EXPECT_EQ(h.bucket(3), 1u);
 }
 
-TEST(RunningStatsTest, Basics)
-{
-    RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    s.sample(2.0);
-    s.sample(4.0);
-    s.sample(6.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 6.0);
-    EXPECT_NEAR(s.variance(), 8.0 / 3.0, 1e-9);
-}
-
-TEST(RunningStatsTest, SingleSampleVarianceZero)
-{
-    RunningStats s;
-    s.sample(5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStatsTest, Clear)
-{
-    RunningStats s;
-    s.sample(1.0);
-    s.clear();
-    EXPECT_EQ(s.count(), 0u);
-}
-
 TEST(StatSetTest, SetAddGet)
 {
     StatSet s("pred");
@@ -216,13 +151,6 @@ TEST(StatSetTest, DumpFormat)
     s.set("ipc", 1.5);
     const std::string dump = s.dump();
     EXPECT_NE(dump.find("core.ipc 1.5"), std::string::npos);
-}
-
-TEST(MeansTest, Geomean)
-{
-    EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-    EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-9);
-    EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-9);
 }
 
 TEST(MeansTest, Amean)

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "test_sources.hh"
 #include "trace/primitives.hh"
 #include "trace/trace.hh"
 #include "trace/workloads.hh"

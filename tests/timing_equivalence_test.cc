@@ -22,6 +22,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/timing_engine.hh"
+#include "test_sources.hh"
 #include "trace/primitives.hh"
 #include "trace/trace.hh"
 #include "trace/workloads.hh"

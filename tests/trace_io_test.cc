@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "test_sources.hh"
 #include "trace/file_trace.hh"
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
@@ -292,6 +294,10 @@ TEST(TraceIoErrorTest, CorruptChunkChecksum)
     TraceErrc err = TraceErrc::Ok;
     readAll(path, err);
     EXPECT_EQ(err, TraceErrc::ChecksumMismatch);
+    // A failed convert leaves no container behind.
+    const std::string out = tmpPath("bad_checksum_out.ltct");
+    EXPECT_EQ(convertTraceFile(path, out), TraceErrc::ChecksumMismatch);
+    EXPECT_FALSE(std::filesystem::exists(out));
 }
 
 TEST(TraceIoErrorTest, TruncatedChunkPayload)
@@ -369,9 +375,35 @@ TEST(TraceIoErrorTest, ChunkCountExceedsHeaderTotal)
     for (int i = 1; i < 8; i++)
         bytes[kCountOffset + i] = 0;
     spit(path, bytes);
-    TraceErrc err = TraceErrc::Ok;
-    readAll(path, err);
-    EXPECT_EQ(err, TraceErrc::CountMismatch);
+
+    // Bytes after the last v2 chunk or v1 record, which no count or
+    // checksum covers.
+    const std::string tail = tmpPath("trailing_bytes.ltct");
+    writeTraceFile(tail, randomRefs(100, 2));
+    bytes = slurp(tail);
+    bytes.insert(bytes.end(), 24, 0);
+    spit(tail, bytes);
+    const std::string tail_v1 = tmpPath("trailing_bytes_v1.bin");
+    ASSERT_EQ(writeTraceFileV1(tail_v1, randomRefs(50, 4)), TraceErrc::Ok);
+    bytes = slurp(tail_v1);
+    bytes.push_back(0);
+    spit(tail_v1, bytes);
+
+    const std::string out = tmpPath("count_mismatch_out.ltct");
+    for (const std::string &in : {path, tail, tail_v1}) {
+        SCOPED_TRACE(in);
+        TraceErrc err = TraceErrc::Ok;
+        readAll(in, err);
+        EXPECT_EQ(err, TraceErrc::CountMismatch);
+        StreamingTraceReader reader(in);
+        ASSERT_TRUE(reader.ok()); // the header itself is sound
+        drain(reader, 7);
+        EXPECT_EQ(reader.error(), TraceErrc::CountMismatch);
+        TraceFileInfo info;
+        EXPECT_EQ(probeTraceFile(in, info), TraceErrc::CountMismatch);
+        EXPECT_EQ(convertTraceFile(in, out), TraceErrc::CountMismatch);
+        EXPECT_FALSE(std::filesystem::exists(out));
+    }
 }
 
 TEST(TraceIoErrorTest, TruncatedV1Body)
@@ -482,6 +514,8 @@ TEST(ChampSimImportTest, RejectsTrailingPartialRecord)
     spit(in, bytes);
     EXPECT_EQ(importChampSimFile(in, out),
               TraceErrc::MalformedRecord);
+    // No partial container is left behind.
+    EXPECT_FALSE(std::filesystem::exists(out));
 }
 
 TEST(ChampSimImportTest, HonoursLimit)

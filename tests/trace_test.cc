@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "test_sources.hh"
 #include "trace/file_trace.hh"
 #include "trace/trace.hh"
 

@@ -120,10 +120,8 @@ TEST(TraceHashTest, ClearResets)
 {
     TraceHash h;
     h.update(0x100);
-    EXPECT_EQ(h.length(), 1u);
     h.clear();
     EXPECT_EQ(h.value(), 0u);
-    EXPECT_EQ(h.length(), 0u);
     h.update(0x100);
     TraceHash fresh;
     fresh.update(0x100);
@@ -261,13 +259,6 @@ TEST(TypesTest, MemRefEquality)
     EXPECT_TRUE(a == b);
     b.addr = 3;
     EXPECT_FALSE(a == b);
-}
-
-TEST(LoggingTest, WarnIncrementsCounter)
-{
-    const std::uint64_t before = warnCount();
-    ltc_warn("test warning ", 42);
-    EXPECT_EQ(warnCount(), before + 1);
 }
 
 TEST(LoggingDeathTest, PanicAborts)

@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "test_sources.hh"
 #include "trace/trace.hh"
 #include "trace/workloads.hh"
 
