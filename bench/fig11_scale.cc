@@ -20,43 +20,37 @@
 
 #include <array>
 #include <cstdlib>
+#include <limits>
 
 #include "bench_common.hh"
 #include "core/ltcords.hh"
 #include "sim/experiment.hh"
 #include "sim/multiprog.hh"
+#include "util/parse.hh"
 
 using namespace ltc;
 
 namespace
 {
 
-/** Tenant counts to sweep (LTC_TENANTS override). */
+/** Tenant counts to sweep (LTC_TENANTS override, each >= 2). */
 std::vector<std::uint32_t>
 tenantCounts()
 {
     const char *env = std::getenv("LTC_TENANTS");
     if (!env)
         return {2, 8, 64, 256, 1024};
+    const std::string list = env;
     std::vector<std::uint32_t> counts;
-    std::uint32_t value = 0;
-    bool have = false;
-    for (const char *p = env;; p++) {
-        if (*p >= '0' && *p <= '9') {
-            value = value * 10 + static_cast<std::uint32_t>(*p - '0');
-            have = true;
-        } else if (*p == ',' || *p == '\0') {
-            if (have && value >= 2)
-                counts.push_back(value);
-            value = 0;
-            have = false;
-            if (*p == '\0')
-                break;
-        }
+    for (std::size_t start = 0;;) {
+        const std::size_t comma = list.find(',', start);
+        counts.push_back(static_cast<std::uint32_t>(parseCount(
+            "LTC_TENANTS", list.substr(start, comma - start), 2,
+            std::numeric_limits<std::uint32_t>::max(), CountSuffix::None)));
+        if (comma == std::string::npos)
+            return counts;
+        start = comma + 1;
     }
-    if (counts.empty())
-        counts = {2, 8, 64, 256, 1024};
-    return counts;
 }
 
 /** One scaled Fig. 11 cell: n tenants, shared or partitioned. */

@@ -24,12 +24,14 @@
 #include <array>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 #include "bench_common.hh"
 #include "sim/experiment.hh"
 #include "sim/multiprog.hh"
 #include "sim/timing_engine.hh"
 #include "sim/trace_engine.hh"
+#include "util/parse.hh"
 
 using namespace ltc;
 
@@ -71,8 +73,9 @@ perfReps()
     const char *env = std::getenv("LTC_PERF_REPS");
     if (!env)
         return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? static_cast<unsigned>(v) : 1;
+    return static_cast<unsigned>(
+        parseCount("LTC_PERF_REPS", env, 1,
+                   std::numeric_limits<unsigned>::max(), CountSuffix::None));
 }
 
 /**

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "sim/experiment.hh"
@@ -20,6 +21,7 @@
 #include "sim/trace_engine.hh"
 #include "trace/workloads.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/stats.hh"
 
 namespace
@@ -40,19 +42,6 @@ struct Options
     bool list = false;
 };
 
-std::uint64_t
-parseCount(const std::string &text)
-{
-    char *end = nullptr;
-    const auto v = std::strtoull(text.c_str(), &end, 10);
-    std::uint64_t mult = 1;
-    if (end && (*end == 'k' || *end == 'K'))
-        mult = 1000;
-    else if (end && (*end == 'm' || *end == 'M'))
-        mult = 1000 * 1000;
-    return v * mult;
-}
-
 [[noreturn]] void
 usage()
 {
@@ -60,7 +49,7 @@ usage()
         stderr,
         "usage: ltcsim [--list]\n"
         "              [--workload NAME] [--predictor NAME]\n"
-        "              [--engine trace|timing] [--refs N[k|m]]\n"
+        "              [--engine trace|timing] [--refs N[k|m|g]]\n"
         "              [--seed N] [--scale F] [--perfect-l1]"
         " [--l2 4mb]\n");
     std::exit(1);
@@ -86,9 +75,13 @@ parse(int argc, char **argv)
         else if (arg == "--engine")
             opt.engine = value();
         else if (arg == "--refs")
-            opt.refs = parseCount(value());
+            opt.refs = parseCount("--refs", value(), 1,
+                                  std::numeric_limits<std::uint64_t>::max(),
+                                  CountSuffix::Kmg);
         else if (arg == "--seed")
-            opt.seed = std::strtoull(value().c_str(), nullptr, 10);
+            opt.seed = parseCount("--seed", value(), 0,
+                                  std::numeric_limits<std::uint64_t>::max(),
+                                  CountSuffix::None);
         else if (arg == "--scale")
             opt.scale = std::strtod(value().c_str(), nullptr);
         else if (arg == "--perfect-l1")

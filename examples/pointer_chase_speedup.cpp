@@ -9,19 +9,21 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/experiment.hh"
 #include "sim/timing_engine.hh"
 #include "trace/primitives.hh"
+#include "util/parse.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace ltc;
 
-    const std::uint64_t nodes =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : (96 << 10);
+    const std::uint64_t nodes = argc > 1
+        ? parseCount("nodes", argv[1], 1, std::uint64_t{1} << 32,
+                     CountSuffix::Kmg)
+        : (96 << 10);
 
     auto make_chase = [nodes] {
         PointerChaseParams p;

@@ -7,13 +7,14 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/ltcords.hh"
 #include "sim/experiment.hh"
 #include "sim/trace_engine.hh"
 #include "trace/workloads.hh"
+#include "util/parse.hh"
 #include "util/stats.hh"
 
 int
@@ -22,9 +23,11 @@ main(int argc, char **argv)
     using namespace ltc;
 
     const std::string workload = argc > 1 ? argv[1] : "mcf";
-    const std::uint64_t refs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                 : suggestedRefs(workload);
+    const std::uint64_t refs = argc > 2
+        ? parseCount("refs", argv[2], 1,
+                     std::numeric_limits<std::uint64_t>::max(),
+                     CountSuffix::Kmg)
+        : suggestedRefs(workload);
 
     // 1. The simulated machine: Table 1's 64KB L1D + 1MB L2.
     const HierarchyConfig hier = paperHierarchy();

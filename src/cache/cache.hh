@@ -309,13 +309,6 @@ class Cache
     std::uint64_t misses() const { return misses_; }
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t prefetchFills() const { return prefetchFills_; }
-    double
-    missRate() const
-    {
-        return accesses_ ? static_cast<double>(misses_) /
-                static_cast<double>(accesses_)
-                         : 0.0;
-    }
 
   private:
     // Packed tag word: (block number & tagMask) << tagShift, OR'd

@@ -9,6 +9,14 @@
 namespace ltc
 {
 
+namespace
+{
+
+/** Signatures moved per off-chip stream transfer (Section 4.1). */
+constexpr std::uint32_t signaturesPerBatch = 32;
+
+} // namespace
+
 LtCords::LtCords(const LtcordsConfig &config)
     : config_(config), history_(config.l1Sets, config.lineBytes),
       sigCache_(config.sigCacheEntries, config.sigCacheAssoc),
@@ -80,17 +88,17 @@ LtCords::streamRange(std::uint32_t frame, std::uint32_t from,
             installSignature(frame, off);
         return;
     }
-    // Transfers move in streamBatch units; each batch arrives after
+    // Transfers move in signaturesPerBatch units; each batch arrives after
     // the stream latency (batches pipeline, so we charge one latency
     // per batch from request time — conservative for back-to-back
     // batches).
     for (std::uint32_t start = from; start < to;
-         start += config_.streamBatch) {
+         start += signaturesPerBatch) {
         PendingBatch b;
         b.ready = now_ + config_.streamLatencyCycles;
         b.frame = frame;
         b.from = start;
-        b.to = std::min<std::uint32_t>(start + config_.streamBatch, to);
+        b.to = std::min<std::uint32_t>(start + signaturesPerBatch, to);
         pending_.push_back(b);
     }
 }
@@ -159,7 +167,7 @@ LtCords::observe(const MemRef &ref, const HierOutcome &out)
 
         advanceWindow(frame, offset);
 
-        if (confidence >= config_.confidenceThreshold) {
+        if (confidence >= predictConfidence) {
             predictions_++;
             PrefetchRequest req;
             req.target = replacement;
@@ -203,7 +211,7 @@ LtCords::feedback(const PrefetchFeedback &fb)
         conf = conf > 0 ? conf - 1 : 0;
         confidenceDowns_++;
     } else {
-        conf = std::min<std::uint8_t>(config_.confidenceMax, conf + 1);
+        conf = std::min<std::uint8_t>(maxConfidence, conf + 1);
         confidenceUps_++;
     }
     // Exact off-chip update through the self-pointer (Section 4.4);

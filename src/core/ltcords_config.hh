@@ -49,12 +49,10 @@ struct LtcordsConfig
      * billion-instruction scale (Section 5.4). Our workloads are ~8x
      * scaled down, so the default here is 1K, which keeps the
      * fragment small relative to a loop iteration (the same ratio the
-     * paper's choice achieves); paper() restores 8K and the ablation
-     * bench sweeps the parameter.
+     * paper's choice achieves); the ablation bench sweeps the
+     * parameter.
      */
     std::uint32_t fragmentSignatures = 1024;
-    /** Bytes per signature in off-chip storage (5B, Section 5.8). */
-    std::uint32_t signatureBytes = 5;
 
     //
     // Streaming (Sections 3.3, 4.3).
@@ -70,8 +68,6 @@ struct LtcordsConfig
      * cover the last-touch/miss reorder distance (~1K, Section 5.2).
      */
     std::uint32_t windowAhead = 1024;
-    /** Signatures moved per off-chip transfer unit (Section 4.1). */
-    std::uint32_t streamBatch = 32;
     /**
      * Model the off-chip retrieval latency of signature streams
      * (cycle engine); the trace engine leaves this off, matching the
@@ -80,19 +76,16 @@ struct LtcordsConfig
     bool modelStreamLatency = false;
     /**
      * Cycles from requesting a signature batch to its on-chip
-     * arrival (DRAM access + transfer of a streamBatch unit).
+     * arrival (DRAM access + transfer of one stream batch, see
+     * LtCords::streamRange).
      */
     Cycle streamLatencyCycles = 230;
 
     //
-    // Confidence (Section 4.4).
+    // Confidence (Section 4.4; threshold and maximum: pred/prefetcher.hh).
     //
     /** Initial 2-bit confidence (2 expedites training). */
     std::uint8_t confidenceInit = 2;
-    /** Confidence at or above which predictions are acted on. */
-    std::uint8_t confidenceThreshold = 2;
-    /** Saturation value of the confidence counter. */
-    std::uint8_t confidenceMax = 3;
 
     //
     // L1D geometry (for the history table and victim set mapping).
@@ -101,31 +94,6 @@ struct LtcordsConfig
     std::uint32_t l1Sets = 512;
     /** Cache line size in bytes. */
     std::uint32_t lineBytes = 64;
-
-    /** Off-chip sequence storage capacity, bytes. */
-    std::uint64_t
-    offChipBytes() const
-    {
-        return static_cast<std::uint64_t>(numFrames) *
-            fragmentSignatures * signatureBytes;
-    }
-
-    /** Total signatures the off-chip storage can hold. */
-    std::uint64_t
-    offChipSignatures() const
-    {
-        return static_cast<std::uint64_t>(numFrames) *
-            fragmentSignatures;
-    }
-
-    /** Paper configuration (Section 5.6): 4K frames x 8K signatures. */
-    static LtcordsConfig
-    paper()
-    {
-        LtcordsConfig c;
-        c.fragmentSignatures = 8192;
-        return c;
-    }
 };
 
 } // namespace ltc

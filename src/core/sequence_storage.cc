@@ -83,7 +83,7 @@ SequenceStorage::updateConfidence(std::uint32_t frame,
 void
 SequenceStorage::noteStreamRead(std::uint64_t sigs)
 {
-    pendingReadBytes_ += sigs * config_.signatureBytes;
+    pendingReadBytes_ += sigs * storedSignatureBytes;
 }
 
 std::uint32_t

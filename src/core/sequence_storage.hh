@@ -13,9 +13,8 @@
  * recurring head can be recognised and the fragment streamed back in.
  *
  * There is no explicit sequence start/stop: recording appends for as
- * long as cache misses occur (Section 4.2). Write traffic is batched
- * in `streamBatch`-signature units (Section 4.1) and accounted so the
- * engines can charge the memory bus.
+ * long as cache misses occur (Section 4.2). Read and write traffic is
+ * accounted in bytes so the engines can charge the memory bus.
  */
 
 #ifndef LTC_CORE_SEQUENCE_STORAGE_HH
@@ -32,6 +31,9 @@
 
 namespace ltc
 {
+
+/** Bytes per signature in off-chip storage (Section 5.8). */
+constexpr std::uint32_t storedSignatureBytes = 5;
 
 /** One signature as stored off chip. */
 struct StoredSignature
@@ -222,7 +224,7 @@ SequenceStorage::record(std::uint64_t key, Addr replacement,
         recentPos_ = 0;
 
     recordedTotal_++;
-    pendingWriteBytes_ += config_.signatureBytes;
+    pendingWriteBytes_ += storedSignatureBytes;
 }
 
 inline std::optional<std::uint32_t>

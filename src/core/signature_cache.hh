@@ -128,16 +128,6 @@ class SignatureCache
     /** Currently valid entries (O(capacity); for stats/tests). */
     std::uint32_t occupancy() const;
 
-    /**
-     * On-chip bytes: 42 bits per entry (15b address tag + 2b
-     * confidence + 25b off-chip self-pointer, Section 5.6).
-     */
-    std::uint64_t
-    storageBytes() const
-    {
-        return static_cast<std::uint64_t>(entries_) * 42 / 8;
-    }
-
   private:
     std::uint32_t setOf(std::uint64_t key) const;
 

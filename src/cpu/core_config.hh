@@ -8,8 +8,6 @@
 
 #include <cstdint>
 
-#include "util/types.hh"
-
 namespace ltc
 {
 
@@ -24,8 +22,6 @@ struct CoreConfig
     std::uint32_t lsqSize = 128;
     /** L1D MSHRs (outstanding primary misses). */
     std::uint32_t l1dMshrs = 64;
-    /** Latency of a non-memory instruction, cycles. */
-    Cycle aluLatency = 1;
 };
 
 } // namespace ltc

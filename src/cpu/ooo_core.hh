@@ -83,6 +83,9 @@ class OooCore
   private:
     using Slot = std::uint64_t; //!< 1 slot = 1/width cycle
 
+    /** Latency of a non-memory instruction, cycles. */
+    static constexpr Cycle nonMemLatency = 1;
+
     Slot robConstraint() const;
     Slot lsqConstraint() const;
     void retireAt(Slot completion_slot);
@@ -150,8 +153,7 @@ inline void
 OooCore::issueNonMem(std::uint32_t count)
 {
     ltc_assert(!memPending_, "issueNonMem with memory access pending");
-    const Slot alu_slots =
-        static_cast<Slot>(config_.aluLatency) * config_.width;
+    const Slot alu_slots = nonMemLatency * config_.width;
     for (std::uint32_t i = 0; i < count; i++) {
         const Slot issue = std::max(frontier_, robConstraint());
         frontier_ = issue + 1;

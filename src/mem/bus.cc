@@ -40,7 +40,7 @@ Bus::auditInvariants() const
 {
     if (transfers_ == 0) {
         LTC_CHECK(busyCycles_ == 0 && queueCycles_ == 0 &&
-                      bytesMoved_ == 0 && busyUntil_ == 0,
+                      busyUntil_ == 0,
                   config_.name, ": idle bus with accounted work");
         return;
     }

@@ -71,20 +71,19 @@ class Bus
 
     /**
      * transfer() with the occupancy precomputed by the caller:
-     * @p occ MUST equal config().occupancy(bytes). The timing
-     * engine's miss path moves fixed-size transfers (a request or
-     * one cache block), so hoisting the occupancy division out of
-     * the per-event path is free; any other caller should use
-     * transfer().
+     * @p occ MUST equal the configuration's occupancy() of the
+     * transfer's size. The timing engine's miss path moves
+     * fixed-size transfers (a request or one cache block), so
+     * hoisting the occupancy division out of the per-event path is
+     * free; any other caller should use transfer().
      */
     Cycle
-    transferPrecomputed(Cycle ready, std::uint32_t bytes, Cycle occ)
+    transferPrecomputed(Cycle ready, Cycle occ)
     {
         const Cycle start = std::max(ready, busyUntil_);
         queueCycles_ += start - ready;
         busyUntil_ = start + occ;
         busyCycles_ += occ;
-        bytesMoved_ += bytes;
         transfers_++;
         return busyUntil_;
     }
@@ -94,14 +93,8 @@ class Bus
 
     // LTC_HOT_END
 
-    const BusConfig &config() const { return config_; }
-
     /** Total core cycles the bus spent occupied. */
     Cycle busyCycles() const { return busyCycles_; }
-    /** Total bytes moved. */
-    std::uint64_t bytesMoved() const { return bytesMoved_; }
-    /** Number of transfers serviced. */
-    std::uint64_t transfers() const { return transfers_; }
     /** Total cycles transfers spent queued before starting. */
     Cycle queueCycles() const { return queueCycles_; }
 
@@ -119,7 +112,6 @@ class Bus
     Cycle busyUntil_ = 0;
     Cycle busyCycles_ = 0;
     Cycle queueCycles_ = 0;
-    std::uint64_t bytesMoved_ = 0;
     std::uint64_t transfers_ = 0;
 
     /** Death-test hook: lets the invariant suite corrupt state. */
@@ -129,8 +121,7 @@ class Bus
 inline Cycle
 Bus::transfer(Cycle ready, std::uint32_t bytes)
 {
-    return transferPrecomputed(ready, bytes,
-                               config_.occupancy(bytes));
+    return transferPrecomputed(ready, config_.occupancy(bytes));
 }
 
 } // namespace ltc

@@ -8,17 +8,27 @@
 namespace ltc
 {
 
+namespace
+{
+
+/** Associativity of the finite table (LRU). */
+constexpr std::uint32_t tableWays = 8;
+/** Confidence of a newly recorded signature (Section 4.4). */
+constexpr std::uint8_t initialConfidence = 2;
+
+} // namespace
+
 Dbcp::Dbcp(const DbcpConfig &config)
     : config_(config), history_(config.l1Sets, config.lineBytes)
 {
     if (config_.tableEntries != 0) {
         std::uint64_t sets = std::max<std::uint64_t>(
-            1, config_.tableEntries / config_.tableAssoc);
+            1, config_.tableEntries / tableWays);
         if (!isPowerOf2(sets))
             sets = ceilPowerOf2(sets) / 2; // round down to a power of 2
         sets = std::max<std::uint64_t>(sets, 1);
         tableSets_ = sets;
-        table_.resize(tableSets_ * config_.tableAssoc);
+        table_.resize(tableSets_ * tableWays);
     }
 }
 
@@ -46,11 +56,10 @@ Dbcp::record(std::uint64_t key, Addr replacement, Addr victim)
         if (inserted) {
             p.replacement = replacement;
             p.victim = victim;
-            p.confidence = config_.confidenceInit;
+            p.confidence = initialConfidence;
         } else if (p.replacement == replacement) {
             p.confidence =
-                std::min<std::uint8_t>(config_.confidenceMax,
-                                       p.confidence + 1);
+                std::min<std::uint8_t>(maxConfidence, p.confidence + 1);
             reinforced_++;
         } else if (p.confidence > 0) {
             p.confidence--;
@@ -58,7 +67,7 @@ Dbcp::record(std::uint64_t key, Addr replacement, Addr victim)
         } else {
             p.replacement = replacement;
             p.victim = victim;
-            p.confidence = config_.confidenceInit;
+            p.confidence = initialConfidence;
             conflicts_++;
         }
         return;
@@ -66,15 +75,15 @@ Dbcp::record(std::uint64_t key, Addr replacement, Addr victim)
 
     // Finite set-associative table with LRU replacement.
     const std::uint64_t set = key & (tableSets_ - 1);
-    TableLine *base = &table_[set * config_.tableAssoc];
+    TableLine *base = &table_[set * tableWays];
     TableLine *victim_line = nullptr;
-    for (std::uint32_t w = 0; w < config_.tableAssoc; w++) {
+    for (std::uint32_t w = 0; w < tableWays; w++) {
         TableLine &line = base[w];
         if (line.valid && line.key == key) {
             line.lastUse = ++stamp_;
             if (line.payload.replacement == replacement) {
                 line.payload.confidence =
-                    std::min<std::uint8_t>(config_.confidenceMax,
+                    std::min<std::uint8_t>(maxConfidence,
                                            line.payload.confidence + 1);
                 reinforced_++;
             } else if (line.payload.confidence > 0) {
@@ -83,7 +92,7 @@ Dbcp::record(std::uint64_t key, Addr replacement, Addr victim)
             } else {
                 line.payload.replacement = replacement;
                 line.payload.victim = victim;
-                line.payload.confidence = config_.confidenceInit;
+                line.payload.confidence = initialConfidence;
                 conflicts_++;
             }
             return;
@@ -102,7 +111,7 @@ Dbcp::record(std::uint64_t key, Addr replacement, Addr victim)
     victim_line->key = key;
     victim_line->payload.replacement = replacement;
     victim_line->payload.victim = victim;
-    victim_line->payload.confidence = config_.confidenceInit;
+    victim_line->payload.confidence = initialConfidence;
     victim_line->lastUse = ++stamp_;
 }
 
@@ -118,8 +127,8 @@ Dbcp::lookup(std::uint64_t key)
         return &it->second;
     }
     const std::uint64_t set = key & (tableSets_ - 1);
-    TableLine *base = &table_[set * config_.tableAssoc];
-    for (std::uint32_t w = 0; w < config_.tableAssoc; w++) {
+    TableLine *base = &table_[set * tableWays];
+    for (std::uint32_t w = 0; w < tableWays; w++) {
         TableLine &line = base[w];
         if (line.valid && line.key == key) {
             line.lastUse = ++stamp_;
@@ -147,7 +156,7 @@ Dbcp::observe(const MemRef &ref, const HierOutcome &out)
 
     const std::uint64_t lookup_key = history_.signatureKey(set);
     if (const Payload *p = lookup(lookup_key)) {
-        if (p->confidence >= config_.confidenceThreshold) {
+        if (p->confidence >= predictConfidence) {
             predictions_++;
             PrefetchRequest req;
             req.target = p->replacement;
@@ -174,7 +183,7 @@ Dbcp::name() const
     if (config_.tableEntries == 0)
         return "dbcp-unlimited";
     return "dbcp-" +
-        std::to_string(config_.tableEntries * config_.entryBytes /
+        std::to_string(config_.tableEntries * DbcpConfig::bytesPerEntry /
                        1024) +
         "KB";
 }

@@ -36,27 +36,19 @@ struct DbcpConfig
 {
     /** Correlation table entries; 0 = unlimited ("oracle"). */
     std::uint64_t tableEntries = 0;
-    /** Associativity of the finite table. */
-    std::uint32_t tableAssoc = 8;
-    /** Confidence counter initial value (Section 4.4 uses 2). */
-    std::uint8_t confidenceInit = 2;
-    /** Minimum confidence to act on a match. */
-    std::uint8_t confidenceThreshold = 2;
-    /** Saturation value of the 2-bit counter. */
-    std::uint8_t confidenceMax = 3;
 
     /** L1D geometry (for the history table and set mapping). */
     std::uint32_t l1Sets = 512;
     std::uint32_t lineBytes = 64;
 
     /** Bytes per correlation-table entry, for capacity conversions. */
-    std::uint32_t entryBytes = 8;
+    static constexpr std::uint32_t bytesPerEntry = 8;
 
     /** Entry count for an on-chip table of @p bytes capacity. */
     static std::uint64_t
-    entriesForBytes(std::uint64_t bytes, std::uint32_t entry_bytes = 8)
+    entriesForBytes(std::uint64_t bytes)
     {
-        return bytes / entry_bytes;
+        return bytes / bytesPerEntry;
     }
 };
 

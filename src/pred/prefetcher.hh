@@ -16,6 +16,7 @@
 #ifndef LTC_PRED_PREFETCHER_HH
 #define LTC_PRED_PREFETCHER_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,14 @@ struct PrefetchFeedback
      */
     bool useless = false;
 };
+
+/**
+ * The 2-bit confidence counters of the last-touch predictors, LT-cords
+ * and DBCP (Section 4.4): a prediction is acted on at or above
+ * predictConfidence, and the counter saturates at maxConfidence.
+ */
+constexpr std::uint8_t predictConfidence = 2;
+constexpr std::uint8_t maxConfidence = 3;
 
 class Prefetcher
 {

@@ -9,6 +9,9 @@ namespace ltc
 namespace
 {
 
+/** Address shift between consecutive applications' spaces. */
+constexpr Addr tenantStride = Addr{1} << 32;
+
 /** One pass over the schedule; returns per-app stats. */
 std::vector<CoverageStats>
 interleavedPass(const MultiProgConfig &config, Prefetcher *pred,
@@ -31,14 +34,13 @@ interleavedPass(const MultiProgConfig &config, Prefetcher *pred,
 }
 
 std::vector<std::unique_ptr<TraceSource>>
-shiftApps(const MultiProgConfig &config,
-          std::vector<std::unique_ptr<TraceSource>> apps)
+shiftApps(std::vector<std::unique_ptr<TraceSource>> apps)
 {
     std::vector<std::unique_ptr<TraceSource>> shifted;
     for (std::size_t i = 0; i < apps.size(); i++) {
         shifted.push_back(std::make_unique<ShiftSource>(
             std::move(apps[i]),
-            config.addressStride * static_cast<Addr>(i)));
+            tenantStride * static_cast<Addr>(i)));
     }
     return shifted;
 }
@@ -135,7 +137,7 @@ runMultiProg(const MultiProgConfig &config, Prefetcher *pred,
     for (auto q : config.quantumRefs)
         ltc_assert(q > 0, "zero-length scheduling quantum");
 
-    auto shifted = shiftApps(config, std::move(apps));
+    auto shifted = shiftApps(std::move(apps));
     const auto schedule = buildMultiProgSchedule(config);
 
     // Baseline pass for opportunity.

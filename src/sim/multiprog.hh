@@ -34,8 +34,6 @@ struct MultiProgConfig
     std::vector<std::uint64_t> quantumRefs;
     /** Total number of context switches simulated. */
     std::uint64_t switches = 60;
-    /** Address shift between consecutive applications' spaces. */
-    Addr addressStride = Addr{1} << 32;
     /**
      * Deterministic tenant churn (the scaled-out Fig. 11 sweep): when
      * nonzero, the schedule is drawn from an Rng seeded with this

@@ -15,25 +15,31 @@
 #include "trace/workloads.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace ltc
 {
 
+namespace
+{
+
+/** A positive count that fits an unsigned (threads, processes, a
+ *  worker index); exits 1 naming @p knob otherwise. */
+unsigned
+parsePositive(const char *text, const char *knob)
+{
+    return static_cast<unsigned>(
+        parseCount(knob, text, 1, std::numeric_limits<unsigned>::max(),
+                   CountSuffix::None));
+}
+
+} // namespace
+
 unsigned
 defaultJobs()
 {
-    if (const char *env = std::getenv("LTC_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        // strtoul accepts a leading '-' (wrapping around), so check
-        // the first character ourselves.
-        if (env[0] < '0' || env[0] > '9' || end == env ||
-            *end != '\0' || v == 0 ||
-            v > std::numeric_limits<unsigned>::max())
-            ltc_fatal("LTC_JOBS must be a positive integer, got '",
-                      env, "'");
-        return static_cast<unsigned>(v);
-    }
+    if (const char *env = std::getenv("LTC_JOBS"))
+        return parsePositive(env, "LTC_JOBS");
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }
@@ -557,25 +563,6 @@ resultsFromJson(const std::string &text)
 
 // --------------------------------------------------------- ResultSink
 
-namespace
-{
-
-/** Parse a positive integer environment/flag value or die. */
-unsigned
-parsePositive(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (text[0] < '0' || text[0] > '9' || end == text ||
-        *end != '\0' || v == 0 ||
-        v > std::numeric_limits<unsigned>::max())
-        ltc_fatal(what, " must be a positive integer, got '", text,
-                  "'");
-    return static_cast<unsigned>(v);
-}
-
-} // namespace
-
 ResultSink::ResultSink(std::string bench, int argc,
                        char *const *argv)
     : bench_(std::move(bench)), argv_(argv)
@@ -662,14 +649,13 @@ ResultSink::~ResultSink() = default;
 std::vector<RunResult>
 ResultSink::run(
     const ExperimentRunner &runner, const std::vector<RunCell> &cells,
-    const std::function<void(const RunCell &, RunResult &)> &fn,
-    bool cacheable)
+    const std::function<void(const RunCell &, RunResult &)> &fn)
 {
     // Segment ordinal: part of every cell hash, so two sweeps of one
     // bench with identical (workload, config) labels cannot collide.
     // Workers replay the same main(), so their ordinals line up.
     const std::uint64_t segment = sweepCalls_++;
-    if (!cacheable || cacheDir_.empty())
+    if (cacheDir_.empty())
         return runner.run(cells, fn);
 
     if (!store_)

@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/random.hh"
 #include "util/table.hh"
 
 namespace ltc
@@ -50,8 +49,8 @@ unsigned defaultJobs();
  *
  * The seed is derived deterministically from the sweep's base seed
  * and the cell index, never from the executing thread, so a cell
- * that wants cell-local randomness (via rng()) still produces
- * identical results under any LTC_JOBS. Cells that must replay the
+ * that seeds cell-local randomness from it still produces identical
+ * results under any LTC_JOBS. Cells that must replay the
  * identical reference stream across configs (e.g. speedup tables
  * comparing predictors on one workload) should instead seed their
  * workload from a per-workload constant, as makeWorkload() defaults
@@ -67,9 +66,6 @@ struct RunCell
     std::string config;
     /** Deterministic per-cell seed: hashCombine(base_seed, index). */
     std::uint64_t seed = 0;
-
-    /** Fresh RNG seeded for this cell. */
-    Rng rng() const { return Rng(seed); }
 };
 
 /**
@@ -114,9 +110,6 @@ class ExperimentRunner
   public:
     /** @param jobs Worker threads; 0 selects defaultJobs(). */
     explicit ExperimentRunner(unsigned jobs = 0);
-
-    /** Worker threads this runner will use. */
-    unsigned jobs() const { return jobs_; }
 
     /**
      * Execute @p fn once per cell and return the RunResult records
@@ -293,15 +286,14 @@ class ResultSink
      * `runner.run(cells, fn)` but consulting the cell cache first
      * when one is configured, so cache hits skip simulation, killed
      * sweeps resume, and `--procs` distributes cells over worker
-     * processes. Pass @p cacheable = false for sweeps whose results
-     * are not a pure function of the cell identity (self-timing
-     * benches); those always run uncached.
+     * processes. Only sweeps whose results are a pure function of
+     * the cell identity belong here; self-timing benches call
+     * ExperimentRunner::run() directly.
      */
     std::vector<RunResult>
     run(const ExperimentRunner &runner,
         const std::vector<RunCell> &cells,
-        const std::function<void(const RunCell &, RunResult &)> &fn,
-        bool cacheable = true);
+        const std::function<void(const RunCell &, RunResult &)> &fn);
 
     /**
      * Counters of the cell store behind run(), all zero when no

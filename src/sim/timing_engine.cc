@@ -12,14 +12,14 @@ TimingSim::TimingSim(const TimingConfig &config, Prefetcher *pred)
       mshrs_(config.core.l1dMshrs), l1l2Req_(config.l1l2Bus),
       l1l2Data_(config.l1l2Bus), memReq_(config.memBus),
       memData_(config.memBus), pfPace_(config.memBus),
-      metaBus_(config.memBus), dram_(config.dram), pred_(pred)
+      metaBus_(config.memBus), pred_(pred)
 {
     const std::uint32_t line = config_.hier.l1d.lineBytes;
     l1l2ReqOcc_ = config_.l1l2Bus.occupancy(0);
     l1l2LineOcc_ = config_.l1l2Bus.occupancy(line);
     memReqOcc_ = config_.memBus.occupancy(0);
     memLineOcc_ = config_.memBus.occupancy(line);
-    dramLineLat_ = dram_.latency(line);
+    dramLineLat_ = dramLatency(line);
 }
 
 // ------------------------------------------- per-event hot path
@@ -82,10 +82,9 @@ TimingSim::missCompletion(HitLevel level, Cycle ready)
     // Request leaves L1 after its lookup latency, crosses the L1/L2
     // bus (request phase only), then either hits in L2 or continues
     // to memory; the data crosses the L1/L2 bus on the way back.
-    const std::uint32_t line = config_.hier.l1d.lineBytes;
     const Cycle req_start = ready + config_.hier.l1d.latency;
     const Cycle req_done =
-        l1l2Req_.transferPrecomputed(req_start, 0, l1l2ReqOcc_);
+        l1l2Req_.transferPrecomputed(req_start, l1l2ReqOcc_);
 
     Cycle data_ready;
     if (level == HitLevel::L2) {
@@ -93,14 +92,12 @@ TimingSim::missCompletion(HitLevel level, Cycle ready)
     } else {
         // L2 lookup (miss) then the memory round trip.
         const Cycle mem_req = memReq_.transferPrecomputed(
-            req_done + config_.hier.l2.latency, 0, memReqOcc_);
+            req_done + config_.hier.l2.latency, memReqOcc_);
         data_ready = mem_req + dramLineLat_;
         // Block transfer over the memory data bus.
-        data_ready = memData_.transferPrecomputed(data_ready, line,
-                                                  memLineOcc_);
+        data_ready = memData_.transferPrecomputed(data_ready, memLineOcc_);
     }
-    return l1l2Data_.transferPrecomputed(data_ready, line,
-                                         l1l2LineOcc_);
+    return l1l2Data_.transferPrecomputed(data_ready, l1l2LineOcc_);
 }
 
 bool
@@ -161,8 +158,7 @@ TimingSim::drainPrefetchQueue(Cycle now)
             break;
         const PrefetchRequest req = prefetchQueue_.front();
         prefetchQueue_.pop_front();
-        pfPace_.transferPrecomputed(slot, config_.hier.l1d.lineBytes,
-                                    memLineOcc_);
+        pfPace_.transferPrecomputed(slot, memLineOcc_);
         issuePrefetch(req, slot);
     }
 }
@@ -185,20 +181,19 @@ TimingSim::issuePrefetch(const PrefetchRequest &req, Cycle now)
     // Time the transfers from where the hierarchy found the data. An
     // L2-only request completes when the data reaches L2, an L1 request
     // once it has crossed the L1/L2 data channel.
-    const std::uint32_t line = config_.hier.l1d.lineBytes;
     const Cycle req_done =
-        l1l2Req_.transferPrecomputed(now, 0, l1l2ReqOcc_);
+        l1l2Req_.transferPrecomputed(now, l1l2ReqOcc_);
     Cycle data_ready;
     if (out.l2Hit) {
         data_ready = req_done + config_.hier.l2.latency;
     } else {
         const Cycle mem_req = memReq_.transferPrecomputed(
-            req_done + config_.hier.l2.latency, 0, memReqOcc_);
+            req_done + config_.hier.l2.latency, memReqOcc_);
         data_ready = memData_.transferPrecomputed(
-            mem_req + dramLineLat_, line, memLineOcc_);
+            mem_req + dramLineLat_, memLineOcc_);
     }
     const Cycle complete = req.intoL1
-        ? l1l2Data_.transferPrecomputed(data_ready, line, l1l2LineOcc_)
+        ? l1l2Data_.transferPrecomputed(data_ready, l1l2LineOcc_)
         : data_ready;
 
     l2Victim(out.l2Victim, now);
@@ -443,7 +438,6 @@ TimingSim::auditInvariants() const
     memData_.auditInvariants();
     pfPace_.auditInvariants();
     metaBus_.auditInvariants();
-    dram_.auditInvariants();
     if (pred_)
         pred_->auditInvariants();
     inflight_.auditInvariants();

@@ -4,7 +4,8 @@
  *
  * Combines the ROB-window core model (src/cpu) with the functional
  * hierarchy, MSHR file, L1/L2 and memory busses and the DRAM latency
- * model to produce IPC — the engine behind Table 3 and Figure 12.
+ * (dramLatency() below) to produce IPC — the engine behind Table 3
+ * and Figure 12.
  *
  * Mechanisms modelled (Section 5 of the paper):
  *  - two L1/L2 channels (an L2 request can issue while a fill is in
@@ -35,7 +36,6 @@
 #include "cpu/ooo_core.hh"
 #include "mem/bandwidth.hh"
 #include "mem/bus.hh"
-#include "mem/dram.hh"
 #include "pred/prefetcher.hh"
 #include "trace/trace.hh"
 #include "util/check.hh"
@@ -44,6 +44,24 @@
 
 namespace ltc
 {
+
+/**
+ * Cycles to deliver @p bytes from DRAM: Table 1's "200 cycles first
+ * 32B, 3 cycles each additional 32B" (critical-word-first not
+ * modelled).
+ */
+constexpr Cycle
+dramLatency(std::uint32_t bytes)
+{
+    if (bytes == 0)
+        return 0;
+    const Cycle further_chunks = (bytes - 1) / 32;
+    return 200 + further_chunks * 3;
+}
+
+// A bigger read can never arrive earlier.
+static_assert(dramLatency(32) <= dramLatency(64),
+              "DRAM latency not monotone in transfer size");
 
 /** Full configuration of the timing engine (Table 1 defaults). */
 struct TimingConfig
@@ -56,8 +74,6 @@ struct TimingConfig
     BusConfig l1l2Bus = BusConfig::l1l2();
     /** Memory bus channels. */
     BusConfig memBus = BusConfig::memory();
-    /** DRAM latency model parameters. */
-    DramConfig dram;
     /** Predictor request queue entries. */
     std::uint32_t prefetchQueueEntries = 128;
 };
@@ -125,8 +141,6 @@ class TimingSim
     /** Snapshot of current results. */
     TimingStats stats() const;
 
-    /** The core model (test access). */
-    OooCore &core() { return core_; }
     /** The cache hierarchy (test access). */
     CacheHierarchy &hierarchy() { return hier_; }
     /** The MSHR file (test access: occupancy trajectory checks). */
@@ -134,8 +148,8 @@ class TimingSim
 
     /**
      * Audit every structure the timing model owns: both caches, the
-     * MSHR file, all six bus channels, the DRAM model, the core's
-     * rings, the predictor, and the engine-side in-flight table.
+     * MSHR file, all six bus channels, the core's rings, the
+     * predictor, and the engine-side in-flight table.
      * run() calls this automatically after every batch of work when
      * auditing is enabled — debug builds, or LTC_AUDIT=1 in the
      * environment (util/check.hh).
@@ -281,7 +295,6 @@ class TimingSim
      * (Section 4.4).
      */
     Bus metaBus_;
-    DramModel dram_;
     Prefetcher *pred_;
 
     /** Pending predictor requests (the 128-entry request queue). */

@@ -281,10 +281,8 @@ TreeWalkSource::fill(std::span<MemRef> out)
 
         if (++accessIdx_ >= params_.accessesPerNode) {
             accessIdx_ = 0;
-            if (++pos_ >= order_.size()) {
+            if (++pos_ >= order_.size())
                 pos_ = 0;
-                iter_++;
-            }
         }
     }
     return out.size();
@@ -295,7 +293,6 @@ TreeWalkSource::reset()
 {
     pos_ = 0;
     accessIdx_ = 0;
-    iter_ = 0;
 }
 
 //

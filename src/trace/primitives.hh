@@ -75,9 +75,6 @@ class StridedScanSource final : public TraceSource
     void reset() override;
     std::string name() const override { return name_; }
 
-    /** Number of completed full sweeps over all arrays. */
-    std::uint64_t iterations() const { return iter_; }
-
   private:
     std::vector<ScanArray> arrays_;
     std::uint32_t gap_;
@@ -131,8 +128,6 @@ class PointerChaseSource final : public TraceSource
     void reset() override;
     std::string name() const override { return name_; }
 
-    std::uint64_t iterations() const { return iter_; }
-
     /** Address of node @p i (for tests). */
     Addr nodeAddr(std::uint64_t i) const;
 
@@ -185,8 +180,6 @@ class TreeWalkSource final : public TraceSource
     void reset() override;
     std::string name() const override { return name_; }
 
-    std::uint64_t iterations() const { return iter_; }
-
   private:
     TreeWalkParams params_;
     std::string name_;
@@ -196,7 +189,6 @@ class TreeWalkSource final : public TraceSource
     std::vector<std::uint32_t> order_;
     std::uint64_t pos_ = 0;
     std::uint32_t accessIdx_ = 0;
-    std::uint64_t iter_ = 0;
 };
 
 /** Parameters for a hash-probe (random access) source. */

@@ -576,7 +576,6 @@ StreamingTraceReader::loadNextChunk()
 
     bufLen_ = count;
     consumed_ += count;
-    chunksRead_++;
     maxBuffered_ = std::max(maxBuffered_, bufLen_);
     return true;
 }

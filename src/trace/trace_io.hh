@@ -186,8 +186,6 @@ class StreamingTraceReader
     /** First error encountered (Ok if none). */
     TraceErrc error() const { return err_; }
 
-    /** Container version (1 or 2); 0 if the header failed to parse. */
-    std::uint32_t version() const { return version_; }
     /** Total records the header promises. */
     std::uint64_t records() const { return records_; }
 
@@ -203,8 +201,6 @@ class StreamingTraceReader
 
     /** High-water mark of records buffered in memory at once. */
     std::size_t maxBufferedRecords() const { return maxBuffered_; }
-    /** Chunks decoded so far (v2; v1 counts fixed-size blocks). */
-    std::uint64_t chunksRead() const { return chunksRead_; }
 
   private:
     /**
@@ -228,7 +224,6 @@ class StreamingTraceReader
     std::vector<unsigned char> rawBuf_; //!< encoded-chunk scratch
     std::uint64_t consumed_ = 0; //!< records decoded since reset()
     std::size_t maxBuffered_ = 0;
-    std::uint64_t chunksRead_ = 0;
 };
 
 /**

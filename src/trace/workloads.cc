@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "trace/primitives.hh"
 #include "trace/trace_io.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace ltc
 {
@@ -964,21 +966,9 @@ refBudget(std::uint64_t fallback)
     const char *env = std::getenv("LTC_REFS");
     if (!env)
         return fallback;
-    char *end = nullptr;
-    const auto v = std::strtoull(env, &end, 10);
-    if (end == env || v == 0)
-        ltc_fatal("LTC_REFS: invalid value '", env, "'");
-    // Allow suffixes k/m/g.
-    std::uint64_t mult = 1;
-    if (*end == 'k' || *end == 'K')
-        mult = 1000;
-    else if (*end == 'm' || *end == 'M')
-        mult = 1000 * 1000;
-    else if (*end == 'g' || *end == 'G')
-        mult = 1000 * 1000 * 1000;
-    else if (*end != '\0')
-        ltc_fatal("LTC_REFS: invalid suffix '", end, "'");
-    return v * mult;
+    return parseCount("LTC_REFS", env, 1,
+                      std::numeric_limits<std::uint64_t>::max(),
+                      CountSuffix::Kmg);
 }
 
 } // namespace ltc

@@ -85,7 +85,6 @@ class StatSet
     explicit StatSet(std::string name) : name_(std::move(name)) {}
 
     void set(const std::string &key, double value) { values_[key] = value; }
-    void add(const std::string &key, double delta) { values_[key] += delta; }
 
     /** Value of @p key; 0 if never set. */
     double get(const std::string &key) const;

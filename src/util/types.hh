@@ -66,7 +66,6 @@ struct MemRef
     bool dependsOnPrev = false;
 
     bool isLoad() const { return op == MemOp::Load; }
-    bool isStore() const { return op == MemOp::Store; }
 
     bool
     operator==(const MemRef &o) const

@@ -326,7 +326,8 @@ TEST(CacheTest, MissRate)
     c.access(0x0000, MemOp::Load);
     c.access(0x0000, MemOp::Load);
     c.access(0x0000, MemOp::Load);
-    EXPECT_DOUBLE_EQ(c.missRate(), 0.25);
+    EXPECT_EQ(c.misses(), 1u);
+    EXPECT_EQ(c.accesses(), 4u);
 }
 
 /**

@@ -888,14 +888,6 @@ TEST(ResultSinkFabric, CellCacheFlagDrivesTheSweep)
         EXPECT_EQ(sink.cellStats().hits, cells.size());
         EXPECT_EQ(resultsToJson(warm), coldJson);
     }
-    {
-        // cacheable = false must bypass the store entirely.
-        ResultSink sink("fabric_test",
-                        static_cast<int>(argv.size()), argv.data());
-        const auto direct = sink.run(runner, cells, evalCell, false);
-        EXPECT_EQ(sink.cellStats().lookups, 0u);
-        EXPECT_EQ(resultsToJson(direct), coldJson);
-    }
 }
 
 TEST(ResultSinkFabric, UncachedSinkReportsZeroStats)

@@ -172,12 +172,12 @@ struct TestPeer
         b.busyUntil_ = 0;
     }
 
-    /** Account moved bytes on a bus that never transferred. */
+    /** Account busy cycles on a bus that never transferred. */
     static void
     phantomWork(Bus &b)
     {
         ASSERT_EQ(b.transfers_, 0u);
-        b.bytesMoved_ = 64;
+        b.busyCycles_ = 3;
     }
 
     // --------------------------------------- SequenceStorage

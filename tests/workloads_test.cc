@@ -113,6 +113,20 @@ TEST(WorkloadsTest, RefBudgetEnvSuffixes)
     unsetenv("LTC_REFS");
 }
 
+TEST(WorkloadsDeathTest, RefBudgetRejectsMalformedEnv)
+{
+    // Each was once accepted: -1 wrapped to 2^64 - 1, 100kx read as
+    // 100k, and the g multiplier wrapped past 2^64.
+    for (const char *text :
+         {"-1", "100kx", "30000000000000000g", "0", "", "1.5m"}) {
+        setenv("LTC_REFS", text, 1);
+        EXPECT_EXIT(refBudget(1), ::testing::ExitedWithCode(1),
+                    "LTC_REFS")
+            << "'" << text << "'";
+    }
+    unsetenv("LTC_REFS");
+}
+
 TEST(WorkloadsTest, SelectedWorkloadsQuickSubset)
 {
     setenv("LTC_WORKLOADS", "quick", 1);

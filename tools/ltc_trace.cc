@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 #include "util/logging.hh"
+#include "util/parse.hh"
 
 namespace
 {
@@ -64,17 +66,13 @@ die(const std::string &what, TraceErrc errc)
     std::exit(1);
 }
 
+/** A count in [0, 2^64) for @p knob; exits 1 naming it otherwise. */
 std::uint64_t
-parseU64(const std::string &text, const char *what)
+parseU64(const std::string &text, const char *knob)
 {
-    char *end = nullptr;
-    const auto v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0') {
-        std::fprintf(stderr, "ltc-trace: invalid %s '%s'\n", what,
-                     text.c_str());
-        std::exit(1);
-    }
-    return v;
+    return parseCount(knob, text, 0,
+                      std::numeric_limits<std::uint64_t>::max(),
+                      CountSuffix::None);
 }
 
 /** Options shared by record/convert. */
@@ -104,20 +102,14 @@ parseOptions(int argc, char **argv, int first)
             return argv[++i];
         };
         if (arg == "--seed") {
-            opt.seed = parseU64(value(), "seed");
+            opt.seed = parseU64(value(), "--seed");
         } else if (arg == "--scale") {
             opt.scale = std::atof(value().c_str());
         } else if (arg == "--chunk") {
-            const std::uint64_t chunk = parseU64(value(), "chunk");
-            if (chunk < 1 || chunk > (1u << 24)) {
-                std::fprintf(stderr,
-                             "ltc-trace: --chunk must be in "
-                             "[1, 16777216]\n");
-                std::exit(1);
-            }
-            opt.chunk = static_cast<std::uint32_t>(chunk);
+            opt.chunk = static_cast<std::uint32_t>(parseCount(
+                "--chunk", value(), 1, 1u << 24, CountSuffix::None));
         } else if (arg == "--limit") {
-            opt.limit = parseU64(value(), "limit");
+            opt.limit = parseU64(value(), "--limit");
         } else if (arg == "--champsim") {
             opt.champsim = true;
         } else if (arg.rfind("--", 0) == 0) {

@@ -7,11 +7,17 @@
 
 BUILD is a build of this tree with coverage counters:
 
+    flags='--coverage -fprofile-update=atomic -fno-early-inlining'
     cmake -S . -B build/coverage -DCMAKE_BUILD_TYPE=Release \\
-      -DCMAKE_CXX_FLAGS='--coverage -fprofile-update=atomic' \\
-      -DCMAKE_CXX_FLAGS_RELEASE='-O1 -DNDEBUG' \\
+      -DCMAKE_CXX_FLAGS="$flags" -DCMAKE_CXX_FLAGS_RELEASE='-O1 -DNDEBUG' \\
       -DCMAKE_EXE_LINKER_FLAGS=--coverage
     cmake --build build/coverage -j
+
+Without -fno-early-inlining, GCC inlines small functions into their
+callers before it instruments them, and gcov has no record of any
+member defined on one line. So the script reads BUILD/CMakeCache.txt
+first, and exits 1 naming the flag when CMAKE_CXX_FLAGS lacks
+--coverage or -fno-early-inlining.
 
 `--run` deletes BUILD's counts and runs the production entry points
 (production_run below): every bench, the tool, fabric and example
@@ -35,13 +41,9 @@ Exit status is 1 when a never-run src/ function matches no entry, or
 an entry matches no never-run function (a stale entry), and 0
 otherwise. `--list` also prints every never-run function.
 
-Blind spot: GCC 12 inlines small functions into their callers before
-it instruments them, so gcov has no record of any member defined on
-one line, nor of small ones such as DramModel::latency(). Find those
-with grep.
-
 `--self-test` runs the analysis over the canned gcov JSON in
-tools/test_only_api_fixtures/ (ctest: tool.test_only_api.selftest).
+tools/test_only_api_fixtures/, and the flag check over canned cache
+lines (ctest: tool.test_only_api.selftest).
 """
 
 import argparse
@@ -171,6 +173,21 @@ def problems(report, stale):
     return out
 
 
+# ----------------------------------------------------- build flags
+
+REQUIRED_FLAGS = ("--coverage", "-fno-early-inlining")
+
+
+def missing_flags(cache_text):
+    """The REQUIRED_FLAGS that CMAKE_CXX_FLAGS lacks in @cache_text, a
+    CMakeCache.txt, in order."""
+    flags = []
+    for line in cache_text.splitlines():
+        if line.startswith("CMAKE_CXX_FLAGS:"):
+            flags = line.split("=", 1)[1].split()
+    return [flag for flag in REQUIRED_FLAGS if flag not in flags]
+
+
 # ------------------------------------------------------------ gcov
 
 def gcov_docs(build):
@@ -252,7 +269,9 @@ def self_test(fixtures):
     - the entry for ltc::Ring::gone matches nothing: stale.
 
     The result must not depend on the order of the objects or of the
-    instantiations within them.
+    instantiations within them. Canned CMakeCache.txt lines check
+    missing_flags(): a build with both flags, one without
+    -fno-early-inlining, and one whose flags sit in another variable.
     """
     docs = [json.loads((fixtures / name).read_text())
             for name in ("a.gcov.json", "b.gcov.json")]
@@ -274,6 +293,16 @@ def self_test(fixtures):
         got = problems(*check(read_functions(order, "/work"), entries))
         if got != want:
             failures.append(f"objects {label}: expected {want}, got {got}")
+    for cache, want in (
+            ("CMAKE_CXX_FLAGS:STRING=--coverage -fprofile-update=atomic "
+             "-fno-early-inlining", []),
+            ("CMAKE_CXX_FLAGS:STRING=--coverage -fprofile-update=atomic",
+             ["-fno-early-inlining"]),
+            ("CMAKE_CXX_FLAGS_RELEASE:STRING=--coverage -fno-early-inlining",
+             list(REQUIRED_FLAGS))):
+        if missing_flags(cache) != want:
+            failures.append(f"missing_flags({cache!r}) = "
+                            f"{missing_flags(cache)}, want {want}")
     for demangled, name in (
             ("void ltc::RefPuller::forEach<ltc::X>(ltc::TraceSource&, "
              "unsigned long, ltc::X&&)", "ltc::RefPuller::forEach"),
@@ -319,6 +348,13 @@ def main():
     except AllowListError as err:
         print(f"test_only_api: {allow}: {err}", file=sys.stderr)
         return 2
+    cache = Path(args.build) / "CMakeCache.txt"
+    missing = missing_flags(cache.read_text() if cache.is_file() else "")
+    if missing:
+        print(f"test_only_api: {cache} has no {' '.join(missing)} in "
+              "CMAKE_CXX_FLAGS; configure BUILD as the docstring shows",
+              file=sys.stderr)
+        return 1
     root = here.parent
     if args.run:
         production_run(args.build, root)
